@@ -1,26 +1,18 @@
 //! Collection-plane ingest report: wall-clock cost of a full driver tick
-//! (transmission decisions → transport → metering → controller ingest →
-//! clustering stage), comparing the seed per-report path against the flat
-//! frame path.
+//! (transmission decisions → frame build → metering → controller ingest →
+//! clustering stage) on the flat frame path.
 //!
-//! The seed path is pinned exactly: one [`AdaptiveTransmitter`] per node,
-//! a fresh `Vec<Report>` per tick with one heap allocation per report,
-//! per-report metering, `Controller::tick` (which sorts the batch), and
-//! the nested points path into the clustering stage (`flat_points =
-//! false`: a fresh per-tick `Vec<Vec<f64>>` that the clusterer
-//! re-flattens). The optimized path is the default configuration: one SoA
+//! The measured path is the default configuration: one SoA
 //! [`TransmitterBank`] per driver, a recycled [`ReportFrame`], one
-//! metering call per frame, `Controller::tick_frame`, and the recycled
-//! flat strided-points entry into the stage. Both paths are driven over
-//! identical deterministic inputs; a built-in guard first runs the real
-//! `Simulation` with both stacks and aborts (non-zero exit) unless the
-//! two `SimReport`s are bit-identical.
+//! metering call per frame, `Controller::tick_frames`, and the recycled
+//! flat strided-points entry into the stage. A built-in guard first runs
+//! the real driver inline and on sharded worker threads and aborts
+//! (non-zero exit) unless the two `SimReport`s are bit-identical.
 //!
 //! Rows:
 //! - `d = 1` **end-to-end**: the full tick including the controller's
-//!   clustering stage, at `N` and `N/10` nodes. The `N`-node row is the
-//!   headline number: the acceptance bar is a ≥ 3x speedup.
-//! - `d = 2` **ingest-plane**: decisions + transport + metering + flat
+//!   clustering stage, at `N` and `N/10` nodes.
+//! - `d = 2` **ingest-plane**: decisions + frame build + metering + flat
 //!   store apply only (the simnet controller is scalar, so the vector
 //!   ingest plane is measured up to the controller boundary).
 //! - **bank-kernel tier**: the stateful batch decide loop with
@@ -40,36 +32,18 @@ use serde::Serialize;
 use utilcast_bench::report::ResolvedConfig;
 use utilcast_bench::{report, Scale};
 use utilcast_core::compute::ComputeOptions;
-use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig, TransmitterBank};
+use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
 use utilcast_datasets::{presets, Resource};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
 use utilcast_simnet::sim::{SimConfig, Simulation};
 use utilcast_simnet::threaded::run_threaded;
-use utilcast_simnet::transport::{IngestMode, Meter, Report, ReportFrame};
+use utilcast_simnet::transport::{Meter, ReportFrame};
 
 /// Clusters in the end-to-end controller, matching the paper-scale
 /// `K = 10` workload.
 const K: usize = 10;
 /// Transmission budget `B` for every row (the paper's default regime).
 const BUDGET: f64 = 0.3;
-
-/// One seed-vs-frame measurement pair (microseconds per tick).
-#[derive(Serialize)]
-struct PathPair {
-    seed_micros: f64,
-    frame_micros: f64,
-    speedup: f64,
-}
-
-impl PathPair {
-    fn new(seed_micros: f64, frame_micros: f64) -> Self {
-        PathPair {
-            seed_micros,
-            frame_micros,
-            speedup: seed_micros / frame_micros.max(1e-9),
-        }
-    }
-}
 
 /// One benchmarked configuration.
 #[derive(Serialize)]
@@ -80,7 +54,8 @@ struct IngestRow {
     /// (decisions + transport + metering + store apply, `d = 2`).
     mode: &'static str,
     ticks: usize,
-    pair: PathPair,
+    /// Microseconds per tick.
+    frame_micros: f64,
 }
 
 /// One bank-kernel measurement: the per-row batch decide loop against the
@@ -113,7 +88,7 @@ struct IngestBench {
 
 /// Deterministic synthetic utilization for node `i`, dimension `r`, tick
 /// `t`: banded base load, slow per-node drift, small hash jitter — no RNG,
-/// so reruns are exactly reproducible and both paths see identical inputs.
+/// so reruns are exactly reproducible.
 fn measurement(i: usize, r: usize, t: usize) -> f64 {
     let band = (i % 10) as f64 / 10.0;
     let drift = ((t as f64) * 0.05 + (i % 7) as f64 + r as f64).sin() * 0.04;
@@ -135,8 +110,7 @@ fn inputs(nodes: usize, width: usize, ticks: usize) -> Vec<Vec<f64>> {
 
 /// Minimum wall-clock microseconds of `f` over `passes` runs — the
 /// standard minimum-time estimator, discarding scheduler interference
-/// instead of averaging it in. Both paths use the same estimator, so the
-/// speedup ratio stays honest.
+/// instead of averaging it in.
 fn min_time_micros(passes: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..passes.max(1) {
@@ -147,14 +121,10 @@ fn min_time_micros(passes: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn controller(nodes: usize, flat_points: bool) -> Controller {
+fn controller(nodes: usize) -> Controller {
     Controller::new(ControllerConfig {
         num_nodes: nodes,
         k: K.min(nodes),
-        compute: ComputeOptions {
-            flat_points,
-            ..Default::default()
-        },
         ..Default::default()
     })
     .expect("valid controller config")
@@ -168,129 +138,63 @@ fn tx_config() -> TransmitConfig {
     }
 }
 
-/// Full driver tick over `ticks` steps, exactly the `Simulation::run`
-/// inner loop for the given ingest mode (decisions, transport, metering,
-/// `Controller::tick`/`tick_frame` with its clustering stage). Returns
-/// microseconds per tick.
-fn end_to_end(xs: &[Vec<f64>], nodes: usize, mode: IngestMode, passes: usize) -> f64 {
-    let total = match mode {
-        IngestMode::Reports => min_time_micros(passes, || {
-            let mut ctrl = controller(nodes, false);
-            let mut transmitters: Vec<AdaptiveTransmitter> = (0..nodes)
-                .map(|_| AdaptiveTransmitter::new(tx_config()))
-                .collect();
-            let meter = Meter::new();
-            for (t, x) in xs.iter().enumerate() {
-                let mut reports = Vec::new();
-                let zs: &[f64] = if t == 0 { x } else { ctrl.stored() };
-                for (i, &v) in x.iter().enumerate() {
-                    let decision = transmitters[i].decide(&[v], &[zs[i]]);
-                    if t == 0 || decision {
-                        reports.push(Report {
-                            node: i,
-                            t,
-                            values: vec![v],
-                        });
-                    }
+/// Full driver tick over `ticks` steps, exactly the driver loop's inline
+/// slot (decisions, frame build, metering, `Controller::tick_frames` with
+/// its clustering stage). Returns microseconds per tick.
+fn end_to_end(xs: &[Vec<f64>], nodes: usize, passes: usize) -> f64 {
+    let total = min_time_micros(passes, || {
+        let mut ctrl = controller(nodes);
+        let mut bank = TransmitterBank::new(tx_config(), nodes);
+        let mut decisions = Vec::with_capacity(nodes);
+        let mut frame = ReportFrame::with_capacity(1, nodes);
+        let meter = Meter::new();
+        for (t, x) in xs.iter().enumerate() {
+            let zs: &[f64] = if t == 0 { x } else { ctrl.stored() };
+            bank.decide_batch_against(x, zs, &mut decisions);
+            frame.reset(t);
+            for (i, &v) in x.iter().enumerate() {
+                if t == 0 || decisions[i] {
+                    frame.push_scalar(i, v);
                 }
-                for r in &reports {
-                    meter.record(r);
-                }
-                let tick = ctrl.tick(reports).expect("tick");
-                std::hint::black_box(tick.intermediate_rmse);
             }
-            std::hint::black_box((meter.messages(), meter.bytes()));
-        }),
-        IngestMode::Frame => min_time_micros(passes, || {
-            let mut ctrl = controller(nodes, true);
-            let mut bank = TransmitterBank::new(tx_config(), nodes);
-            let mut decisions = Vec::with_capacity(nodes);
-            let mut frame = ReportFrame::with_capacity(1, nodes);
-            let meter = Meter::new();
-            for (t, x) in xs.iter().enumerate() {
-                let zs: &[f64] = if t == 0 { x } else { ctrl.stored() };
-                bank.decide_batch_against(x, zs, &mut decisions);
-                frame.reset(t);
-                for (i, &v) in x.iter().enumerate() {
-                    if t == 0 || decisions[i] {
-                        frame.push_scalar(i, v);
-                    }
-                }
-                meter.record_frame(&frame);
-                let tick = ctrl.tick_frame(&frame).expect("tick_frame");
-                std::hint::black_box(tick.intermediate_rmse);
-            }
-            std::hint::black_box((meter.messages(), meter.bytes()));
-        }),
-    };
+            meter.record_frame(&frame);
+            let tick = ctrl
+                .tick_frames(std::slice::from_ref(&frame))
+                .expect("tick_frames");
+            std::hint::black_box(tick.intermediate_rmse);
+        }
+        std::hint::black_box((meter.messages(), meter.bytes()));
+    });
     total / xs.len() as f64
 }
 
-/// Ingest plane only, at payload width `d`: decisions, transport buffer,
+/// Ingest plane only, at payload width `d`: decisions, frame build,
 /// metering, and the flat stored-vector apply — everything up to (but not
 /// including) the scalar-only controller stage. Returns microseconds per
 /// tick.
-fn ingest_plane(
-    xs: &[Vec<f64>],
-    nodes: usize,
-    width: usize,
-    mode: IngestMode,
-    passes: usize,
-) -> f64 {
-    let total = match mode {
-        IngestMode::Reports => min_time_micros(passes, || {
-            let mut transmitters: Vec<AdaptiveTransmitter> = (0..nodes)
-                .map(|_| AdaptiveTransmitter::new(tx_config()))
-                .collect();
-            let mut stored = vec![0.0f64; nodes * width];
-            let meter = Meter::new();
-            for (t, x) in xs.iter().enumerate() {
-                let mut reports = Vec::new();
-                for (i, tr) in transmitters.iter_mut().enumerate() {
-                    let row = &x[i * width..(i + 1) * width];
-                    let z = if t == 0 {
-                        row
-                    } else {
-                        &stored[i * width..(i + 1) * width]
-                    };
-                    if tr.decide(row, z) || t == 0 {
-                        reports.push(Report {
-                            node: i,
-                            t,
-                            values: row.to_vec(),
-                        });
-                    }
-                }
-                for r in &reports {
-                    meter.record(r);
-                    stored[r.node * width..(r.node + 1) * width].copy_from_slice(&r.values);
+fn ingest_plane(xs: &[Vec<f64>], nodes: usize, width: usize, passes: usize) -> f64 {
+    let total = min_time_micros(passes, || {
+        let mut bank = TransmitterBank::with_width(tx_config(), nodes, width);
+        let mut decisions = Vec::with_capacity(nodes);
+        let mut frame = ReportFrame::with_capacity(width, nodes);
+        let mut stored = vec![0.0f64; nodes * width];
+        let meter = Meter::new();
+        for (t, x) in xs.iter().enumerate() {
+            let zs: &[f64] = if t == 0 { x } else { &stored };
+            bank.decide_batch_against(x, zs, &mut decisions);
+            frame.reset(t);
+            for (i, &d) in decisions.iter().enumerate() {
+                if t == 0 || d {
+                    frame.push(i, &x[i * width..(i + 1) * width]);
                 }
             }
-            std::hint::black_box((meter.messages(), meter.bytes(), stored));
-        }),
-        IngestMode::Frame => min_time_micros(passes, || {
-            let mut bank = TransmitterBank::with_width(tx_config(), nodes, width);
-            let mut decisions = Vec::with_capacity(nodes);
-            let mut frame = ReportFrame::with_capacity(width, nodes);
-            let mut stored = vec![0.0f64; nodes * width];
-            let meter = Meter::new();
-            for (t, x) in xs.iter().enumerate() {
-                let zs: &[f64] = if t == 0 { x } else { &stored };
-                bank.decide_batch_against(x, zs, &mut decisions);
-                frame.reset(t);
-                for (i, &d) in decisions.iter().enumerate() {
-                    if t == 0 || d {
-                        frame.push(i, &x[i * width..(i + 1) * width]);
-                    }
-                }
-                meter.record_frame(&frame);
-                for e in frame.iter() {
-                    stored[e.node * width..(e.node + 1) * width].copy_from_slice(e.values);
-                }
+            meter.record_frame(&frame);
+            for e in frame.iter() {
+                stored[e.node * width..(e.node + 1) * width].copy_from_slice(e.values);
             }
-            std::hint::black_box((meter.messages(), meter.bytes(), stored));
-        }),
-    };
+        }
+        std::hint::black_box((meter.messages(), meter.bytes(), stored));
+    });
     total / xs.len() as f64
 }
 
@@ -368,44 +272,33 @@ fn bank_lanes_bench(nodes: usize, width: usize, ticks: usize, passes: usize) -> 
     }
 }
 
-/// Hard guard: the frame path must produce a bit-identical `SimReport` to
-/// the seed per-report path, single-threaded and sharded, before any
-/// numbers are reported. Exits non-zero on divergence.
+/// Hard guard: the sharded driver must produce a bit-identical
+/// `SimReport` to the inline driver before any numbers are reported. Exits
+/// non-zero on divergence.
 fn parity_guard() {
     let trace = presets::google_like()
         .nodes(40)
         .steps(120)
         .seed(7)
         .generate();
-    let config = |ingest: IngestMode, flat_points: bool| SimConfig {
+    let config = SimConfig {
         k: 4,
         warmup: 30,
         retrain_every: 40,
-        ingest,
-        compute: ComputeOptions {
-            flat_points,
-            ..Default::default()
-        },
         ..Default::default()
     };
-    let seed_path = Simulation::new(config(IngestMode::Reports, false))
+    let inline = Simulation::new(config.clone())
         .expect("config")
         .run(&trace, Resource::Cpu)
-        .expect("seed run");
-    let frame_path = Simulation::new(config(IngestMode::Frame, true))
-        .expect("config")
-        .run(&trace, Resource::Cpu)
-        .expect("frame run");
-    let sharded = run_threaded(&config(IngestMode::Frame, true), &trace, Resource::Cpu, 3)
-        .expect("threaded frame run");
-    if frame_path != seed_path || sharded != seed_path {
-        eprintln!("FAIL: frame ingest diverged from the seed per-report path");
-        eprintln!("  seed:     {seed_path:?}");
-        eprintln!("  frame:    {frame_path:?}");
-        eprintln!("  threaded: {sharded:?}");
+        .expect("inline run");
+    let sharded = run_threaded(&config, &trace, Resource::Cpu, 3).expect("sharded run");
+    if sharded != inline {
+        eprintln!("FAIL: the sharded driver diverged from the inline driver");
+        eprintln!("  inline:  {inline:?}");
+        eprintln!("  sharded: {sharded:?}");
         std::process::exit(1);
     }
-    println!("(parity guard: frame path bit-identical to seed path — ok)");
+    println!("(parity guard: sharded driver bit-identical to inline — ok)");
 }
 
 fn main() {
@@ -417,49 +310,34 @@ fn main() {
 
     report::banner(
         "ingest-hot-path",
-        "per-tick collection plane: seed per-report path vs flat frame path",
+        "per-tick collection plane on the flat frame path",
     );
     parity_guard();
 
     let mut rows = Vec::new();
     for nodes in [small, headline] {
         let xs = inputs(nodes, 1, ticks);
-        let pair = PathPair::new(
-            end_to_end(&xs, nodes, IngestMode::Reports, passes),
-            end_to_end(&xs, nodes, IngestMode::Frame, passes),
-        );
         rows.push(IngestRow {
             nodes,
             width: 1,
             mode: "end_to_end",
             ticks,
-            pair,
+            frame_micros: end_to_end(&xs, nodes, passes),
         });
     }
     for nodes in [small, headline] {
         let xs = inputs(nodes, 2, ticks);
-        let pair = PathPair::new(
-            ingest_plane(&xs, nodes, 2, IngestMode::Reports, passes),
-            ingest_plane(&xs, nodes, 2, IngestMode::Frame, passes),
-        );
         rows.push(IngestRow {
             nodes,
             width: 2,
             mode: "ingest_plane",
             ticks,
-            pair,
+            frame_micros: ingest_plane(&xs, nodes, 2, passes),
         });
     }
 
     report::table(
-        &[
-            "mode",
-            "nodes",
-            "d",
-            "seed (us/tick)",
-            "frame (us/tick)",
-            "speedup",
-        ],
+        &["mode", "nodes", "d", "frame (us/tick)"],
         &rows
             .iter()
             .map(|r| {
@@ -467,9 +345,7 @@ fn main() {
                     r.mode.into(),
                     format!("{}", r.nodes),
                     format!("{}", r.width),
-                    format!("{:.0}", r.pair.seed_micros),
-                    format!("{:.0}", r.pair.frame_micros),
-                    format!("{:.1}x", r.pair.speedup),
+                    format!("{:.0}", r.frame_micros),
                 ]
             })
             .collect::<Vec<_>>(),

@@ -41,7 +41,7 @@ use utilcast_core::stage::{ForecastStage, ForecastStageConfig};
 use utilcast_core::table::ForecastTable;
 use utilcast_datasets::{presets, Resource};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
-use utilcast_simnet::transport::Report;
+use utilcast_simnet::transport::ReportFrame;
 
 /// Clusters in the headline workload, matching the paper-scale `K = 10`.
 const K: usize = 10;
@@ -172,16 +172,14 @@ fn parity_guard() {
         },
         ..Default::default()
     };
-    let to_reports = |t: usize| -> Vec<Report> {
+    let to_frame = |t: usize| -> [ReportFrame; 1] {
         let x = trace.snapshot(Resource::Cpu, t).expect("trace snapshot");
-        x.iter()
-            .enumerate()
-            .map(|(node, &v)| Report {
-                node,
-                t,
-                values: vec![v],
-            })
-            .collect()
+        let mut frame = ReportFrame::with_capacity(1, x.len());
+        frame.reset(t);
+        for (node, &v) in x.iter().enumerate() {
+            frame.push_scalar(node, v);
+        }
+        [frame]
     };
     for (name, model) in [
         ("healthy", ModelSpec::SampleAndHold),
@@ -190,9 +188,9 @@ fn parity_guard() {
         let mut live = Controller::new(config(model)).expect("valid controller config");
         let mut restored: Option<Controller> = None;
         for t in 0..trace.num_steps() {
-            live.tick(to_reports(t)).expect("tick");
+            live.tick_frames(&to_frame(t)).expect("tick");
             if let Some(ctrl) = restored.as_mut() {
-                ctrl.tick(to_reports(t)).expect("restored tick");
+                ctrl.tick_frames(&to_frame(t)).expect("restored tick");
             }
             if t == trace.num_steps() / 2 {
                 // Crash mid-run: recover a second controller from a

@@ -1,12 +1,12 @@
 //! The central controller: stale store + dynamic clustering + per-cluster
-//! forecasting, driven by incoming [`Report`]s.
+//! forecasting, driven by incoming [`ReportFrame`]s.
 //!
 //! This is the "central node" half of the paper's system, factored out so
-//! both the single-threaded and multi-threaded drivers share it. It is
-//! deliberately deterministic: reports within a tick are applied in node
-//! order before the clustering step runs, so the outcome is independent of
-//! message arrival order — which is what lets the threaded driver produce
-//! bit-identical results to the reference driver.
+//! the simulation driver (and any external loop, such as the benchmark)
+//! can drive it. It is deliberately deterministic: admission is per node
+//! and tick, and the clustering step runs once after every frame of the
+//! tick is applied, so how a tick's reports are split across shard frames
+//! does not change the outcome.
 
 use serde::{Deserialize, Serialize};
 use utilcast_core::compute::ComputeOptions;
@@ -14,7 +14,7 @@ use utilcast_core::metrics::AgeOfInformation;
 use utilcast_core::pipeline::ModelSpec;
 use utilcast_core::stage::{ForecastStage, ForecastStageConfig, StageSnapshot};
 
-use crate::transport::{Report, ReportFrame};
+use crate::transport::ReportFrame;
 use crate::SimError;
 
 /// Controller configuration (the central-node subset of the paper's
@@ -326,15 +326,12 @@ impl Controller {
     }
 
     /// Ingress validation: `Ok` with the payload value for an acceptable
-    /// report, `Err` with the rejection reason otherwise. Shared verbatim
-    /// by the per-report ([`Controller::tick`]) and frame
-    /// ([`Controller::tick_frame`]) ingest paths, so the two quarantine
-    /// behaviours cannot drift apart.
+    /// report, `Err` with the rejection reason otherwise.
     // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
     // dimensions validated at the public boundary and restated by
     // debug_assert contracts; the overflow-checked debug-assert CI job
     // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick ->
+    // simnet::controller::Controller::tick_frames ->
     // simnet::controller::Controller::admit_values
     fn admit_values(&self, node: usize, t: usize, values: &[f64]) -> Result<f64, AdmitError> {
         if node >= self.stored.len() {
@@ -365,7 +362,7 @@ impl Controller {
     // dimensions validated at the public boundary and restated by
     // debug_assert contracts; the overflow-checked debug-assert CI job
     // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick ->
+    // simnet::controller::Controller::tick_frames ->
     // simnet::controller::Controller::finish_tick ->
     // simnet::controller::Controller::node_age
     fn node_age(&self, node: usize, now: usize) -> usize {
@@ -375,7 +372,7 @@ impl Controller {
         }
     }
 
-    /// Shared tail of both ingest paths: count the tick's rejects, track
+    /// Tail of every tick: count the tick's rejects, track
     /// staleness ages, advance the clock, and run the clustering +
     /// model-update stage — over the raw store, or over a masked copy
     /// when a staleness limit is configured and some node exceeds it.
@@ -453,52 +450,13 @@ impl Controller {
         })
     }
 
-    /// Applies one tick's worth of reports (scalar payloads) and runs the
-    /// clustering + model-update stage.
-    ///
-    /// Reports are sorted by node id before application so the result does
-    /// not depend on arrival order. Each report passes ingress validation
-    /// first; reports with an unknown node id, a non-scalar payload, a
-    /// non-finite or out-of-range value, or a timestamp not newer than the
-    /// node's last accepted report are **quarantined**: counted in
-    /// [`TickReport::quarantined`] (and [`Controller::quarantined`]) and
-    /// otherwise ignored, so corrupted telemetry cannot poison the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering errors.
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick
-    pub fn tick(&mut self, mut reports: Vec<Report>) -> Result<TickReport, SimError> {
-        reports.sort_by_key(|r| (r.node, r.t));
-        let mut applied = 0usize;
-        let mut quarantined = 0usize;
-        let mut duplicates = 0usize;
-        for r in reports {
-            match self.admit_values(r.node, r.t, &r.values) {
-                Ok(v) => {
-                    self.stored[r.node] = v;
-                    self.last_seen[r.node] = Some(r.t);
-                    applied += 1;
-                }
-                Err(AdmitError::Corrupt) => quarantined += 1,
-                Err(AdmitError::Stale) => duplicates += 1,
-            }
-        }
-        self.finish_tick(applied, quarantined, duplicates)
-    }
-
     /// Applies one frame's entries into the store (after frame-level
-    /// dedup), updating the per-tick counters. Shared by
-    /// [`Controller::tick_frame`] and [`Controller::tick_frames`].
+    /// dedup), updating the per-tick counters.
     // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
     // dimensions validated at the public boundary and restated by
     // debug_assert contracts; the overflow-checked debug-assert CI job
     // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick_frame ->
+    // simnet::controller::Controller::tick_frames ->
     // simnet::controller::Controller::ingest_frame
     fn ingest_frame(
         &mut self,
@@ -532,44 +490,27 @@ impl Controller {
         }
     }
 
-    /// [`Controller::tick`] over a flat [`ReportFrame`]: applies each
-    /// admitted entry straight into the flat stored vector, with no
-    /// per-report allocation and no sorting pass.
+    /// Applies one tick's frames and runs the clustering + model-update
+    /// stage once — the controller's only ingest entry point.
     ///
-    /// Every frame entry runs the exact ingress validation of the
-    /// per-report path (same quarantine semantics, including intra-frame
-    /// duplicates). On the healthy direct path the drivers' shard sweep
-    /// pushes entries in ascending node order — which equals the
-    /// `(node, t)` sort order [`Controller::tick`] establishes since a
-    /// frame carries a single tick — so both paths apply reports in the
-    /// same order and stay bit-identical. Under a degraded link no
-    /// ordering is assumed: corrupted node ids and redelivered frames are
-    /// handled by validation and sequence dedup instead.
+    /// Each entry is applied straight into the flat stored vector, with
+    /// no per-report allocation and no sorting pass. Every entry passes
+    /// ingress validation first: an unknown node id, a payload that is not
+    /// scalar, or a non-finite or out-of-range value is **quarantined**
+    /// (counted in [`TickReport::quarantined`] and
+    /// [`Controller::quarantined`], otherwise ignored), so corrupted
+    /// telemetry cannot poison the store; a timestamp not newer than the
+    /// node's last admitted one is dropped as a duplicate. Admission is
+    /// per node and tick, so the admitted set does not depend on how the
+    /// tick's reports are split across frames.
     ///
-    /// Frames carrying a delivery-layer sequence number
+    /// Under a degraded link a tick can deliver zero frames (all in flight
+    /// or lost) or several (delayed originals, retransmissions,
+    /// duplicates). Frames carrying a delivery-layer sequence number
     /// ([`ReportFrame::seq`]) are deduplicated per source before any entry
     /// is applied: a redelivered sequence number drops the whole frame
     /// (counted in [`Controller::duplicate_frames`]), giving exactly-once
     /// admission on top of at-least-once delivery.
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering errors.
-    pub fn tick_frame(&mut self, frame: &ReportFrame) -> Result<TickReport, SimError> {
-        let mut applied = 0usize;
-        let mut quarantined = 0usize;
-        let mut duplicates = 0usize;
-        self.ingest_frame(frame, &mut applied, &mut quarantined, &mut duplicates);
-        self.finish_tick(applied, quarantined, duplicates)
-    }
-
-    /// One tick over a batch of delivered frames — the delivery-plane
-    /// ingest entry point. Under a degraded link a single tick can
-    /// deliver zero frames (all in flight or lost) or several (delayed
-    /// originals, retransmissions, duplicates), so the controller accepts
-    /// a slice: each frame passes sequence dedup and per-entry validation
-    /// in delivery order, then the clustering + model-update stage runs
-    /// once.
     ///
     /// # Errors
     ///
@@ -721,12 +662,19 @@ impl Controller {
 mod tests {
     use super::*;
 
-    fn report(node: usize, t: usize, v: f64) -> Report {
-        Report {
-            node,
-            t,
-            values: vec![v],
+    /// One scalar frame for tick `t`, entries in the given order.
+    fn frame(t: usize, entries: &[(usize, f64)]) -> ReportFrame {
+        let mut f = ReportFrame::new(1);
+        f.reset(t);
+        for &(node, v) in entries {
+            f.push_scalar(node, v);
         }
+        f
+    }
+
+    /// Ticks `c` with one frame of `entries` at tick `t`.
+    fn tick_with(c: &mut Controller, t: usize, entries: &[(usize, f64)]) -> TickReport {
+        c.tick_frames(&[frame(t, entries)]).unwrap()
     }
 
     fn quick_config(n: usize, k: usize) -> ControllerConfig {
@@ -749,22 +697,23 @@ mod tests {
     #[test]
     fn reports_update_store() {
         let mut c = Controller::new(quick_config(4, 2)).unwrap();
-        c.tick(vec![report(1, 0, 0.5), report(3, 0, 0.9)]).unwrap();
+        tick_with(&mut c, 0, &[(1, 0.5), (3, 0.9)]);
         assert_eq!(c.stored(), &[0.0, 0.5, 0.0, 0.9]);
         // Nodes without reports keep stale values.
-        c.tick(vec![report(0, 1, 0.2)]).unwrap();
+        tick_with(&mut c, 1, &[(0, 0.2)]);
         assert_eq!(c.stored(), &[0.2, 0.5, 0.0, 0.9]);
     }
 
     #[test]
     fn tick_result_is_order_independent() {
-        let reports = vec![report(2, 0, 0.3), report(0, 0, 0.1), report(1, 0, 0.2)];
+        let entries = [(2, 0.3), (0, 0.1), (1, 0.2)];
         let mut a = Controller::new(quick_config(3, 2)).unwrap();
         let mut b = Controller::new(quick_config(3, 2)).unwrap();
-        let ra = a.tick(reports.clone()).unwrap();
-        let mut reversed = reports;
-        reversed.reverse();
-        let rb = b.tick(reversed).unwrap();
+        let ra = tick_with(&mut a, 0, &entries);
+        // The same reports reversed and split across two frames.
+        let rb = b
+            .tick_frames(&[frame(0, &[(1, 0.2)]), frame(0, &[(0, 0.1), (2, 0.3)])])
+            .unwrap();
         assert_eq!(a.stored(), b.stored());
         assert_eq!(ra, rb);
     }
@@ -772,7 +721,7 @@ mod tests {
     #[test]
     fn unknown_node_reports_are_quarantined() {
         let mut c = Controller::new(quick_config(2, 1)).unwrap();
-        let r = c.tick(vec![report(9, 0, 0.5)]).unwrap();
+        let r = tick_with(&mut c, 0, &[(9, 0.5)]);
         assert_eq!(r.reports_applied, 0);
         assert_eq!(r.quarantined, 1);
         assert_eq!(c.quarantined(), 1);
@@ -782,26 +731,16 @@ mod tests {
     #[test]
     fn corrupt_payloads_are_quarantined() {
         let mut c = Controller::new(quick_config(3, 1)).unwrap();
-        let bad = vec![
-            report(0, 0, f64::NAN), // non-finite
-            report(1, 0, 7.5),      // out of the unit range
-            Report {
-                node: 2,
-                t: 0,
-                values: vec![],
-            }, // no payload
-            Report {
-                node: 2,
-                t: 0,
-                values: vec![0.1, 0.2],
-            }, // wrong dims
-        ];
-        let r = c.tick(bad).unwrap();
+        let bad = frame(0, &[(0, f64::NAN), (1, 7.5), (2, -0.25)]); // non-finite, out of range
+        let mut wide = ReportFrame::new(2);
+        wide.reset(0);
+        wide.push(2, &[0.1, 0.2]); // wrong dims
+        let r = c.tick_frames(&[bad, wide]).unwrap();
         assert_eq!(r.reports_applied, 0);
         assert_eq!(r.quarantined, 4);
         assert_eq!(c.stored(), &[0.0, 0.0, 0.0]);
         // A clean report for the same nodes is still accepted afterwards.
-        let r = c.tick(vec![report(1, 1, 0.4)]).unwrap();
+        let r = tick_with(&mut c, 1, &[(1, 0.4)]);
         assert_eq!(r.reports_applied, 1);
         assert_eq!(r.quarantined, 0);
         assert_eq!(c.quarantined(), 4);
@@ -812,13 +751,13 @@ mod tests {
         let mut c = Controller::new(quick_config(2, 1)).unwrap();
         // Two reports for node 0 with the same timestamp: one survives;
         // the redelivery counts as a duplicate, not corruption.
-        let r = c.tick(vec![report(0, 0, 0.3), report(0, 0, 0.3)]).unwrap();
+        let r = tick_with(&mut c, 0, &[(0, 0.3), (0, 0.3)]);
         assert_eq!((r.reports_applied, r.quarantined, r.duplicates), (1, 0, 1));
         // A replayed older timestamp is rejected, a newer one accepted.
-        let r = c.tick(vec![report(0, 0, 0.9)]).unwrap();
+        let r = tick_with(&mut c, 0, &[(0, 0.9)]);
         assert_eq!((r.reports_applied, r.quarantined, r.duplicates), (0, 0, 1));
         assert_eq!(c.stored()[0], 0.3);
-        let r = c.tick(vec![report(0, 5, 0.6)]).unwrap();
+        let r = tick_with(&mut c, 5, &[(0, 0.6)]);
         assert_eq!((r.reports_applied, r.quarantined, r.duplicates), (1, 0, 0));
         assert_eq!(c.stored()[0], 0.6);
         assert_eq!(c.duplicates(), 2);
@@ -829,13 +768,13 @@ mod tests {
     fn staleness_age_is_tracked_per_tick() {
         let mut c = Controller::new(quick_config(2, 1)).unwrap();
         // Tick 0: both nodes report -> ages 0.
-        let r = c.tick(vec![report(0, 0, 0.3), report(1, 0, 0.4)]).unwrap();
+        let r = tick_with(&mut c, 0, &[(0, 0.3), (1, 0.4)]);
         assert_eq!((r.mean_age, r.peak_age), (0.0, 0));
         // Tick 1: only node 0 reports -> node 1 is one tick old.
-        let r = c.tick(vec![report(0, 1, 0.5)]).unwrap();
+        let r = tick_with(&mut c, 1, &[(0, 0.5)]);
         assert_eq!((r.mean_age, r.peak_age), (0.5, 1));
         // Tick 2: silence -> ages 1 and 2.
-        let r = c.tick(vec![]).unwrap();
+        let r = c.tick_frames(&[]).unwrap();
         assert_eq!((r.mean_age, r.peak_age), (1.5, 2));
         assert_eq!(c.age().peak(), 2);
         assert!((c.age().mean() - (0.0 + 0.5 + 1.5) / 3.0).abs() < 1e-12);
@@ -847,15 +786,10 @@ mod tests {
         config.compute.staleness_age_limit = 2;
         let mut c = Controller::new(config).unwrap();
         // All three report at tick 0, then node 2 goes silent.
-        c.tick(vec![
-            report(0, 0, 0.2),
-            report(1, 0, 0.4),
-            report(2, 0, 0.9),
-        ])
-        .unwrap();
+        tick_with(&mut c, 0, &[(0, 0.2), (1, 0.4), (2, 0.9)]);
         let mut masked_ticks = 0usize;
         for t in 1..=4 {
-            let r = c.tick(vec![report(0, t, 0.2), report(1, t, 0.4)]).unwrap();
+            let r = tick_with(&mut c, t, &[(0, 0.2), (1, 0.4)]);
             if r.masked > 0 {
                 masked_ticks += 1;
                 assert_eq!(r.masked, 1, "only node 2 is stale");
@@ -906,52 +840,13 @@ mod tests {
     }
 
     #[test]
-    fn tick_frame_matches_tick_bitwise() {
-        // The frame ingest path must reproduce the per-report path exactly,
-        // including quarantine of bad values and intra-frame duplicates.
-        let mut per_report = Controller::new(quick_config(4, 2)).unwrap();
-        let mut framed = Controller::new(quick_config(4, 2)).unwrap();
-        for t in 0..25 {
-            let mut entries = vec![
-                (0, 0.1 + 0.01 * (t % 3) as f64),
-                (1, 0.5),
-                (3, 0.9 - 0.002 * t as f64),
-            ];
-            if t % 5 == 0 {
-                entries.push((1, 0.6)); // intra-tick duplicate -> quarantined
-                entries.push((9, 0.5)); // unknown node -> quarantined
-            }
-            if t % 7 == 0 {
-                entries.push((2, f64::NAN)); // non-finite -> quarantined
-                entries.push((2, 1.5)); // out of range -> quarantined
-            }
-            let reports: Vec<Report> = entries.iter().map(|&(n, v)| report(n, t, v)).collect();
-            let mut frame = ReportFrame::new(1);
-            frame.reset(t);
-            let mut sorted = entries.clone();
-            sorted.sort_by_key(|a| a.0);
-            for (n, v) in sorted {
-                frame.push_scalar(n, v);
-            }
-            let a = per_report.tick(reports).unwrap();
-            let b = framed.tick_frame(&frame).unwrap();
-            assert_eq!(a, b, "tick reports diverged at t = {t}");
-            assert_eq!(per_report.stored(), framed.stored());
-        }
-        assert_eq!(per_report.quarantined(), framed.quarantined());
-        assert_eq!(per_report.snapshot(), framed.snapshot());
-    }
-
-    #[test]
     fn custom_value_bounds_are_honoured() {
         let mut c = Controller::new(ControllerConfig {
             value_bounds: (-10.0, 10.0),
             ..quick_config(2, 1)
         })
         .unwrap();
-        let r = c
-            .tick(vec![report(0, 0, 7.5), report(1, 0, -11.0)])
-            .unwrap();
+        let r = tick_with(&mut c, 0, &[(0, 7.5), (1, -11.0)]);
         assert_eq!((r.reports_applied, r.quarantined), (1, 1));
         assert_eq!(c.stored(), &[7.5, 0.0]);
     }
@@ -961,10 +856,10 @@ mod tests {
         let drive = |c: &mut Controller, from: usize, to: usize| {
             let mut out = Vec::new();
             for t in from..to {
-                let reports = (0..4)
-                    .map(|i| report(i, t, 0.1 * i as f64 + 0.01 * (t % 5) as f64))
+                let entries: Vec<_> = (0..4)
+                    .map(|i| (i, 0.1 * i as f64 + 0.01 * (t % 5) as f64))
                     .collect();
-                out.push(c.tick(reports).unwrap());
+                out.push(tick_with(c, t, &entries));
             }
             out
         };
@@ -985,8 +880,8 @@ mod tests {
     fn snapshot_survives_json_round_trip() {
         let mut c = Controller::new(quick_config(3, 2)).unwrap();
         for t in 0..8 {
-            let reports = (0..3).map(|i| report(i, t, 0.2 + 0.1 * i as f64)).collect();
-            c.tick(reports).unwrap();
+            let entries: Vec<_> = (0..3).map(|i| (i, 0.2 + 0.1 * i as f64)).collect();
+            tick_with(&mut c, t, &entries);
         }
         let snapshot = c.snapshot();
         let json = serde_json::to_string(&snapshot).unwrap();
@@ -1013,7 +908,7 @@ mod tests {
         assert!(matches!(c.forecast_table(), Err(SimError::NoTick)));
         assert!(matches!(c.serve_query_probes(3), Err(SimError::NoTick)));
         // After the first tick the typed error clears.
-        c.tick(vec![report(0, 0, 0.5)]).unwrap();
+        tick_with(&mut c, 0, &[(0, 0.5)]);
         assert!(c.forecast(1).is_ok());
         assert!(c.forecast_table().is_ok());
     }
@@ -1021,13 +916,13 @@ mod tests {
     #[test]
     fn query_probes_count_reads_and_reuse_the_table() {
         let mut c = Controller::new(quick_config(4, 2)).unwrap();
-        c.tick(vec![report(0, 0, 0.5), report(1, 0, 0.2)]).unwrap();
+        tick_with(&mut c, 0, &[(0, 0.5), (1, 0.2)]);
         c.serve_query_probes(10).unwrap();
         c.serve_query_probes(10).unwrap();
         // Same tick: one rebuild serves both probe batches.
         assert_eq!(c.forecast_table_rebuilds(), 1);
         assert_eq!(c.forecast_reads_served(), 20);
-        let r = c.tick(vec![report(0, 1, 0.5)]).unwrap();
+        let r = tick_with(&mut c, 1, &[(0, 0.5)]);
         assert_eq!(r.forecast_table_rebuilds, 1);
         assert_eq!(r.forecast_reads_served, 20);
         c.serve_query_probes(5).unwrap();
@@ -1039,10 +934,8 @@ mod tests {
     fn forecast_table_matches_forecast_bitwise() {
         let mut c = Controller::new(quick_config(6, 2)).unwrap();
         for t in 0..20 {
-            let reports = (0..6)
-                .map(|i| report(i, t, if i < 3 { 0.2 } else { 0.8 }))
-                .collect();
-            c.tick(reports).unwrap();
+            let entries: Vec<_> = (0..6).map(|i| (i, if i < 3 { 0.2 } else { 0.8 })).collect();
+            tick_with(&mut c, t, &entries);
             let table = c.forecast_table().unwrap();
             let reference = c.forecast(table.horizon()).unwrap();
             assert_eq!(
@@ -1090,10 +983,8 @@ mod tests {
     fn forecast_tracks_groups() {
         let mut c = Controller::new(quick_config(6, 2)).unwrap();
         for t in 0..20 {
-            let reports = (0..6)
-                .map(|i| report(i, t, if i < 3 { 0.2 } else { 0.8 }))
-                .collect();
-            c.tick(reports).unwrap();
+            let entries: Vec<_> = (0..6).map(|i| (i, if i < 3 { 0.2 } else { 0.8 })).collect();
+            tick_with(&mut c, t, &entries);
         }
         let fc = c.forecast(2).unwrap();
         for (i, got) in fc[1].iter().enumerate().take(6) {
@@ -1110,8 +1001,8 @@ mod tests {
         let mut c = Controller::new(quick_config(4, 2)).unwrap();
         let mut trained_at = Vec::new();
         for t in 0..30 {
-            let reports = (0..4).map(|i| report(i, t, 0.1 * i as f64)).collect();
-            if c.tick(reports).unwrap().retrained {
+            let entries: Vec<_> = (0..4).map(|i| (i, 0.1 * i as f64)).collect();
+            if tick_with(&mut c, t, &entries).retrained {
                 trained_at.push(t + 1);
             }
         }

@@ -10,19 +10,19 @@
 //! at each tick, which reports are dropped, delayed behind a partition, or
 //! corrupted in flight, and when the controller itself crashes and must
 //! resume from its latest checkpoint. [`run_with_faults`] executes a full
-//! simulation under the plan.
+//! simulation under the plan: the driver loop (see [`crate::driver`]) with
+//! the plan's stages switched on, ahead of the delivery plane configured
+//! by [`SimConfig::delivery`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
-use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig};
 use utilcast_datasets::{Resource, Trace};
 
-use crate::controller::{Controller, ControllerConfig, ControllerSnapshot};
-use crate::link::{LinkModel, LinkPlan};
+use crate::driver::{self, Executor};
+use crate::link::LinkPayload;
 use crate::sim::{SimConfig, SimReport};
-use crate::transport::Report;
+use crate::transport::ReportFrame;
 use crate::SimError;
 
 /// A timed network partition: nodes in `nodes.start..nodes.end` cannot
@@ -59,10 +59,10 @@ pub struct FaultPlan {
     /// Per-step probability that the controller crashes, losing its live
     /// state, and resumes from the latest checkpoint.
     pub controller_crash_prob: f64,
-    /// Probability that a delivered report arrives corrupted (bad value,
-    /// wrong dimensionality, or bogus node id). Corrupted reports still
-    /// consume bandwidth; the controller's ingress validation quarantines
-    /// them.
+    /// Probability that a delivered report arrives corrupted (NaN, huge
+    /// or negative value, or bogus node id — the link's width-preserving
+    /// corruption modes). Corrupted reports still consume bandwidth; the
+    /// controller's ingress validation quarantines them.
     pub corrupt_prob: f64,
     /// Deterministic network partition windows.
     pub partitions: Vec<PartitionWindow>,
@@ -71,12 +71,6 @@ pub struct FaultPlan {
     pub checkpoint_every: usize,
     /// RNG seed for fault sampling.
     pub seed: u64,
-    /// Degraded-link model applied to reports that survive the legacy
-    /// loss/partition/corruption stages: latency, jitter, duplication,
-    /// reordering, bounded capacity, and its own loss and corruption (see
-    /// [`LinkPlan`]). A perfect plan bypasses the link entirely and keeps
-    /// the run bit-identical to earlier versions.
-    pub link: LinkPlan,
 }
 
 impl Default for FaultPlan {
@@ -90,7 +84,6 @@ impl Default for FaultPlan {
             partitions: Vec::new(),
             checkpoint_every: 0,
             seed: 0,
-            link: LinkPlan::perfect(),
         }
     }
 }
@@ -107,12 +100,10 @@ impl FaultPlan {
             partitions: Vec::new(),
             checkpoint_every: 0,
             seed: 0,
-            link: LinkPlan::perfect(),
         }
     }
 
-    fn validate(&self) -> Result<(), SimError> {
-        self.link.validate()?;
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         for (name, v) in [
             ("crash_prob", self.crash_prob),
             ("restart_prob", self.restart_prob),
@@ -161,23 +152,105 @@ pub struct FaultReport {
     pub checkpoints: u64,
 }
 
-/// Corrupts a report in flight; `variant` selects the corruption mode.
-fn corrupt(r: &mut Report, variant: usize, num_nodes: usize) {
-    match variant {
-        0 => r.values = vec![f64::NAN],
-        1 => r.values = vec![r.values.first().copied().unwrap_or(0.0) + 1.0e6],
-        2 => r.values = Vec::new(),
-        _ => r.node += num_nodes,
+/// The fault stages' running totals (the fault fields of [`FaultReport`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FaultCounts {
+    pub(crate) down_node_steps: u64,
+    pub(crate) lost_reports: u64,
+    pub(crate) partitioned_reports: u64,
+    pub(crate) corrupted_reports: u64,
+}
+
+/// A [`FaultPlan`]'s per-slot stages, run by the driver loop. All draws
+/// come from one stream seeded by the plan, in a fixed order per slot: the
+/// controller-crash draw (only when its probability is positive), one
+/// up/down draw per node, then — for each up node that sends, in ascending
+/// node order — the partition check, the loss draw, and the corruption
+/// draws (only when the corruption probability is positive).
+pub(crate) struct FaultStages<'a> {
+    plan: &'a FaultPlan,
+    rng: StdRng,
+    up: Vec<bool>,
+    /// Recycled output buffer of [`FaultStages::apply`].
+    scratch: ReportFrame,
+    pub(crate) counts: FaultCounts,
+}
+
+impl<'a> FaultStages<'a> {
+    pub(crate) fn new(plan: &'a FaultPlan, num_nodes: usize) -> Self {
+        FaultStages {
+            plan,
+            rng: StdRng::seed_from_u64(plan.seed),
+            up: vec![true; num_nodes],
+            scratch: ReportFrame::new(1),
+            counts: FaultCounts::default(),
+        }
+    }
+
+    /// Whether the controller crashes this slot. Drawn only when the
+    /// probability is positive, so plans without controller faults keep
+    /// their stream.
+    pub(crate) fn controller_crashes(&mut self) -> bool {
+        self.plan.controller_crash_prob > 0.0
+            && self.rng.gen::<f64>() < self.plan.controller_crash_prob
+    }
+
+    /// Crashes up nodes and restarts down ones.
+    pub(crate) fn evolve_nodes(&mut self) {
+        for flag in &mut self.up {
+            if *flag {
+                if self.rng.gen::<f64>() < self.plan.crash_prob {
+                    *flag = false;
+                }
+            } else if self.rng.gen::<f64>() < self.plan.restart_prob {
+                *flag = true;
+            }
+        }
+        self.counts.down_node_steps += self.up.iter().filter(|&&u| !u).count() as u64;
+    }
+
+    /// Runs the frame stages over one shard frame in place: down nodes'
+    /// decisions are dropped, then partitioned and lost reports, and the
+    /// survivors may be corrupted. Returns the reports up nodes sent —
+    /// partitioned and lost ones included, since they spent budget.
+    pub(crate) fn apply(&mut self, frame: &mut ReportFrame, num_nodes: usize) -> usize {
+        let t = frame.t();
+        self.scratch.reset(t);
+        let mut sent = 0;
+        for e in frame.iter() {
+            if self.up.get(e.node) != Some(&true) {
+                continue;
+            }
+            sent += 1;
+            if self.plan.partitions.iter().any(|w| w.covers(t, e.node)) {
+                self.counts.partitioned_reports += 1;
+            } else if self.rng.gen::<f64>() < self.plan.loss_prob {
+                self.counts.lost_reports += 1;
+            } else {
+                self.scratch.push(e.node, e.values);
+                if self.plan.corrupt_prob > 0.0 && self.rng.gen::<f64>() < self.plan.corrupt_prob {
+                    let variant = self.rng.gen_range(0..4usize);
+                    let last = self.scratch.len() - 1;
+                    self.scratch.corrupt_entry(last, variant, num_nodes);
+                    self.counts.corrupted_reports += 1;
+                }
+            }
+        }
+        std::mem::swap(frame, &mut self.scratch);
+        sent
     }
 }
 
 /// Runs the simulation under a fault plan. Crashed nodes neither measure
-/// nor transmit (their transmitter clock keeps running — the budget is per
-/// wall-clock step); lost and partitioned reports consume the sender's
+/// nor transmit, but their transmitter clock keeps running — the budget is
+/// per wall-clock step, and a down node's decision is dropped before it
+/// reaches the frame; lost and partitioned reports consume the sender's
 /// budget but never reach the controller, exactly as a UDP-style telemetry
 /// channel behaves; corrupted reports arrive (and cost bandwidth) but are
 /// quarantined by the controller's ingress validation; a controller crash
-/// discards all live state and restores the latest checkpoint.
+/// discards all live state and restores the latest checkpoint. Surviving
+/// reports then cross [`SimConfig::delivery`] and feed the query probes of
+/// [`SimConfig::query_probe`], as in every other entry point.
 ///
 /// # Errors
 ///
@@ -189,168 +262,7 @@ pub fn run_with_faults(
     resource: Resource,
     plan: &FaultPlan,
 ) -> Result<FaultReport, SimError> {
-    plan.validate()?;
-    if !(config.budget > 0.0 && config.budget <= 1.0) {
-        return Err(SimError::InvalidConfig {
-            reason: format!("budget must be within (0, 1], got {}", config.budget),
-        });
-    }
-    let n = trace.num_nodes();
-    let steps = trace.num_steps();
-    let mut controller = Controller::new(ControllerConfig {
-        num_nodes: n,
-        k: config.k,
-        m: config.m,
-        m_prime: config.m_prime,
-        warmup: config.warmup,
-        retrain_every: config.retrain_every,
-        model: config.model.clone(),
-        seed: config.seed,
-        compute: config.compute,
-        ..Default::default()
-    })?;
-    let mut transmitters: Vec<AdaptiveTransmitter> = (0..n)
-        .map(|_| {
-            AdaptiveTransmitter::new(TransmitConfig {
-                budget: config.budget,
-                v0: config.v0,
-                gamma: config.gamma,
-            })
-        })
-        .collect();
-    let mut rng = StdRng::seed_from_u64(plan.seed);
-    // Degraded channel between the nodes and the controller. Reports that
-    // survive the legacy loss/partition/corruption stages travel through
-    // it one at a time; a perfect plan keeps the channel out of the path
-    // entirely (and consumes no randomness).
-    let mut link: Option<LinkModel<Report>> =
-        (!plan.link.is_perfect()).then(|| LinkModel::new(plan.link, 0));
-    let mut up = vec![true; n];
-    let mut staleness = TimeAveragedRmse::new();
-    let mut intermediate = TimeAveragedRmse::new();
-    let mut sent: u64 = 0;
-    let mut delivered_bytes: u64 = 0;
-    let mut delivered: u64 = 0;
-    let mut down_node_steps: u64 = 0;
-    let mut lost_reports: u64 = 0;
-    let mut partitioned_reports: u64 = 0;
-    let mut corrupted_reports: u64 = 0;
-    let mut controller_crashes: u64 = 0;
-    let mut checkpoints: u64 = 0;
-
-    let checkpoints_wanted = plan.checkpoint_every > 0 || plan.controller_crash_prob > 0.0;
-    let mut last_checkpoint: Option<ControllerSnapshot> = if checkpoints_wanted {
-        checkpoints += 1;
-        Some(controller.snapshot())
-    } else {
-        None
-    };
-
-    for t in 0..steps {
-        // Controller crash? (Draw gated on the probability so plans without
-        // controller faults keep the exact RNG stream of earlier versions.)
-        if plan.controller_crash_prob > 0.0 && rng.gen::<f64>() < plan.controller_crash_prob {
-            if let Some(cp) = &last_checkpoint {
-                controller = Controller::restore(cp.clone())?;
-                controller_crashes += 1;
-            }
-        }
-        // Evolve node fault state.
-        for flag in up.iter_mut() {
-            if *flag {
-                if rng.gen::<f64>() < plan.crash_prob {
-                    *flag = false;
-                }
-            } else if rng.gen::<f64>() < plan.restart_prob {
-                *flag = true;
-            }
-        }
-        down_node_steps += up.iter().filter(|&&u| !u).count() as u64;
-
-        let x = trace.snapshot(resource, t)?;
-        let mut reports = Vec::new();
-        let stored = controller.stored().to_vec();
-        for i in 0..n {
-            if !up[i] {
-                continue;
-            }
-            let send = if t == 0 {
-                let _ = transmitters[i].decide(&[x[i]], &[x[i]]);
-                true
-            } else {
-                transmitters[i].decide(&[x[i]], &[stored[i]])
-            };
-            if send {
-                sent += 1;
-                if plan.partitions.iter().any(|w| w.covers(t, i)) {
-                    partitioned_reports += 1;
-                } else if rng.gen::<f64>() < plan.loss_prob {
-                    lost_reports += 1;
-                } else {
-                    let mut r = Report {
-                        node: i,
-                        t,
-                        values: vec![x[i]],
-                    };
-                    if plan.corrupt_prob > 0.0 && rng.gen::<f64>() < plan.corrupt_prob {
-                        let variant = rng.gen_range(0..4usize);
-                        corrupt(&mut r, variant, n);
-                        corrupted_reports += 1;
-                    }
-                    match &mut link {
-                        Some(link) => link.send(r, t, n),
-                        None => {
-                            delivered_bytes += r.wire_bytes();
-                            delivered += 1;
-                            reports.push(r);
-                        }
-                    }
-                }
-            }
-        }
-        // Drain the channel: bandwidth is metered at delivery, so lost
-        // payloads cost nothing and duplicated payloads cost twice.
-        if let Some(link) = &mut link {
-            for r in link.collect(t) {
-                delivered_bytes += r.wire_bytes();
-                delivered += 1;
-                reports.push(r);
-            }
-        }
-        let tick = controller.tick(reports)?;
-        staleness.add(rmse_step_scalar(controller.stored(), &x));
-        intermediate.add(tick.intermediate_rmse);
-        if plan.checkpoint_every > 0 && (t + 1) % plan.checkpoint_every == 0 {
-            last_checkpoint = Some(controller.snapshot());
-            checkpoints += 1;
-        }
-    }
-    Ok(FaultReport {
-        sim: SimReport {
-            steps,
-            messages: delivered,
-            bytes: delivered_bytes,
-            realized_frequency: sent as f64 / (steps as f64 * n as f64),
-            staleness_rmse: staleness.value(),
-            intermediate_rmse: intermediate.value(),
-            quarantined: controller.quarantined(),
-            model_fallbacks: controller.model_fallbacks(),
-            fallback_fit_failures: controller.fallback_fit_failures(),
-            duplicates: controller.duplicates(),
-            mean_age: controller.age().mean(),
-            peak_age: controller.age().peak(),
-            masked_node_steps: controller.masked_node_steps(),
-            link: link.as_ref().map(|l| *l.summary()).unwrap_or_default(),
-            forecast_table_rebuilds: controller.forecast_table_rebuilds(),
-            forecast_reads_served: controller.forecast_reads_served(),
-        },
-        down_node_steps,
-        lost_reports,
-        partitioned_reports,
-        corrupted_reports,
-        controller_crashes,
-        checkpoints,
-    })
+    driver::drive(config, trace, resource, Executor::Inline, Some(plan))
 }
 
 #[cfg(test)]
@@ -387,6 +299,48 @@ mod tests {
         assert_eq!(clean.partitioned_reports, 0);
         assert_eq!(clean.corrupted_reports, 0);
         assert_eq!(clean.controller_crashes, 0);
+    }
+
+    #[test]
+    fn fault_runs_honour_delivery_and_query_probes() {
+        // A fault run is the same loop as the inline driver: with no
+        // faults it must apply the configured delivery plane and serve the
+        // configured query probes, bit for bit.
+        use crate::link::{DeliveryOptions, LinkPlan};
+        use utilcast_core::transmit::ArqConfig;
+        let trace = presets::alibaba_like()
+            .nodes(15)
+            .steps(150)
+            .seed(3)
+            .generate();
+        let config = SimConfig {
+            query_probe: 3,
+            delivery: DeliveryOptions {
+                link: LinkPlan {
+                    loss_prob: 0.2,
+                    delay_ticks: 1,
+                    jitter_ticks: 1,
+                    dup_prob: 0.05,
+                    seed: 41,
+                    ..LinkPlan::perfect()
+                },
+                arq: ArqConfig {
+                    timeout: 3,
+                    backoff_cap: 3,
+                    max_retransmits: 10,
+                },
+                ..DeliveryOptions::none()
+            },
+            ..quick_config()
+        };
+        let faulty = run_with_faults(&config, &trace, Resource::Cpu, &FaultPlan::none()).unwrap();
+        let reference = Simulation::new(config)
+            .unwrap()
+            .run(&trace, Resource::Cpu)
+            .unwrap();
+        assert!(reference.link.lost > 0, "0.2 loss never fired");
+        assert_eq!(reference.forecast_reads_served, 3 * 150);
+        assert_eq!(faulty.sim, reference);
     }
 
     #[test]

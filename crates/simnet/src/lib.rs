@@ -5,28 +5,31 @@
 //! runs (Fig. 2): `N` **local nodes** each own an adaptive transmitter and
 //! decide independently when to push their measurement; a **central
 //! controller** receives the messages, maintains the stale store, and runs
-//! dynamic clustering plus per-cluster forecasting. A [`transport`] layer
-//! counts every message and byte so experiments can report communication
-//! cost, and two drivers execute the same simulation:
+//! dynamic clustering plus per-cluster forecasting.
 //!
-//! * [`sim::Simulation`] — deterministic single-threaded reference driver;
-//! * [`threaded::run_threaded`] — nodes sharded over worker threads with
-//!   crossbeam channels to the controller; produces *identical* results to
-//!   the reference driver for the same inputs (verified by tests), because
-//!   the controller applies messages in node order within each tick.
+//! One driver loop runs every slot: the nodes' transmitter banks decide,
+//! the decisions become flat [`transport::ReportFrame`]s, the frames cross
+//! an optional delivery plane, and [`controller::Controller::tick_frames`]
+//! ingests them — frames are the only ingest path. The loop has two
+//! executors for the node side, which produce identical results:
 //!
-//! The crate also carries a resilience layer: the controller validates and
-//! quarantines malformed reports at ingress, can snapshot/restore its full
-//! state for checkpoint recovery ([`controller::ControllerSnapshot`]), the
-//! threaded driver supervises its workers and respawns them after panics
-//! ([`threaded::run_threaded_supervised`]), and [`faults`] injects node
-//! crashes, message loss, partitions, corruption, and controller crashes
-//! to quantify how gracefully accuracy degrades. The [`link`] module
-//! models degraded channels — loss, latency/jitter, duplication,
-//! reordering, bounded capacity — and layers sequence-numbered,
-//! ack/retransmit frame delivery on top (at-least-once delivery,
-//! exactly-once admission), while the controller tracks per-node
-//! staleness age and can mask nodes aged past a configurable limit.
+//! * [`sim::Simulation`] — inline on the calling thread;
+//! * [`threaded::run_threaded`] / [`threaded::run_threaded_supervised`] —
+//!   contiguous node shards on supervised worker threads, respawned from
+//!   each shard's last good transmitter bank after a panic.
+//!
+//! [`faults::run_with_faults`] runs the same loop with a [`faults::FaultPlan`]'s
+//! stages switched on: node crashes, message loss, partitions, corruption,
+//! and controller crashes with checkpoint recovery. The controller
+//! validates and quarantines malformed reports at ingress and can
+//! snapshot/restore its full state ([`controller::ControllerSnapshot`]).
+//! The [`link`] module models degraded channels — loss, latency/jitter,
+//! duplication, reordering, bounded capacity — and layers
+//! sequence-numbered, ack/retransmit frame delivery on top (at-least-once
+//! delivery, exactly-once admission), while the controller tracks per-node
+//! staleness age and can mask nodes aged past a configurable limit. A
+//! [`transport::Meter`] counts every delivered message and byte so
+//! experiments can report communication cost.
 //!
 //! # Example
 //!
@@ -48,6 +51,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod controller;
+mod driver;
 mod error;
 pub mod faults;
 pub mod link;

@@ -1,77 +1,34 @@
-//! Multi-threaded driver: node shards on worker threads, crossbeam
-//! channels to the controller, and a supervisor that survives worker
-//! crashes.
+//! Supervised worker shards: the threaded executor of the driver loop.
 //!
-//! Nodes are partitioned into `shards` contiguous ranges; each worker
-//! thread owns its shard's transmitters and, for every tick, receives the
-//! controller's current stored values for its nodes, runs the transmission
-//! decisions, and sends the resulting [`Report`]s back over a channel. The
-//! controller waits for all shards each tick (the system is time-slotted),
-//! applies the reports in node order, and advances the clustering +
-//! forecasting stage.
-//!
-//! Because decisions only depend on per-node transmitter state and the
-//! shared stored values — and the controller sorts reports by node id —
-//! the run is **deterministic and identical to the single-threaded
-//! driver**, regardless of thread scheduling.
+//! Nodes are partitioned into `shards` contiguous ranges, each stepped by
+//! its own worker thread. Every slot the supervisor hands each worker a
+//! job over a crossbeam channel — the shard's measurements and stored
+//! values, its [`TransmitterBank`], and its recycled [`ReportFrame`] — and
+//! collects the filled frames in ascending shard order for the
+//! controller (see [`crate::driver`]). The run is **deterministic and
+//! identical to the inline driver**, regardless of thread scheduling.
 //!
 //! The driver is *supervised*: when a worker thread panics, the supervisor
-//! reaps it, respawns the shard, rebuilds the transmitters' state by
-//! replaying the shard's input history (decisions are deterministic, so
-//! the rebuilt state is bit-identical), and re-runs the interrupted tick.
-//! Only when the respawn budget is exhausted does the run fail, with the
-//! worker's panic payload in [`SimError::WorkerFailed`]. The supervisor
-//! can also checkpoint the controller periodically and restore it from the
-//! latest checkpoint on an (injected) controller crash — see
-//! [`SupervisorOptions`].
+//! reaps it, respawns the shard, and re-runs the interrupted slot from the
+//! shard's last good bank. That bank — one per shard, replaced after every
+//! completed slot — is the whole recovery state, so it stays O(N) however
+//! long the run. Only when the respawn budget is exhausted does the run
+//! fail, with the worker's panic payload in [`SimError::WorkerFailed`].
+//! The supervisor can also checkpoint the controller periodically and
+//! restore it from the latest checkpoint on an (injected) controller crash
+//! — see [`SupervisorOptions`].
 
 use crossbeam::channel::{self, Receiver, Sender};
 use std::any::Any;
 use std::thread::{self, JoinHandle};
 use utilcast_core::compute::BankKernel;
-use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
-use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig, TransmitterBank};
+use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
 use utilcast_datasets::{Resource, Trace};
 
-use crate::controller::{Controller, ControllerConfig, ControllerSnapshot};
-use crate::link::{DeliveryPlane, LinkModel, LinkSummary};
+use crate::driver::{self, Decider, Executor};
 use crate::sim::{SimConfig, SimReport};
-use crate::transport::{IngestMode, Meter, Report, ReportFrame};
+use crate::transport::ReportFrame;
 use crate::SimError;
-
-/// Per-tick instruction to a worker.
-#[derive(Debug, Clone)]
-enum WorkerMsg {
-    /// Run tick `t`'s transmission decisions and report back. In frame
-    /// mode the supervisor ships the shard's recycled output buffer along
-    /// with the inputs; in report mode `frame` is `None`.
-    Tick {
-        t: usize,
-        xs: Vec<f64>,
-        zs: Vec<f64>,
-        frame: Option<ReportFrame>,
-    },
-    /// Re-run tick `t`'s decisions to rebuild transmitter state after a
-    /// respawn — no reports are emitted and nothing is metered (the
-    /// original worker already accounted for this tick).
-    Replay {
-        t: usize,
-        xs: Vec<f64>,
-        zs: Vec<f64>,
-    },
-    /// Shut the worker down.
-    Shutdown,
-}
-
-/// One shard's per-tick output batch.
-#[derive(Debug)]
-enum ShardBatch {
-    /// Per-report path: one heap `Report` per transmitting node.
-    Reports(Vec<Report>),
-    /// Frame path: the shard's recycled flat buffer, returned to the
-    /// supervisor for merging (and recycling into the next tick).
-    Frame(ReportFrame),
-}
 
 /// Supervision parameters for [`run_threaded_supervised`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,172 +60,38 @@ impl Default for SupervisorOptions {
     }
 }
 
-/// One worker's communication endpoints.
-struct ShardLink {
-    in_tx: Sender<WorkerMsg>,
-    out_rx: Receiver<ShardBatch>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// A shard's node-side transmission state, shaped by the ingest mode.
-enum ShardState {
-    /// One [`AdaptiveTransmitter`] per node (the seed reference path).
-    PerNode(Vec<AdaptiveTransmitter>),
-    /// One SoA [`TransmitterBank`] for the whole shard plus recycled
-    /// decision and lane-error buffers (the flat frame path).
-    Bank {
-        bank: TransmitterBank,
-        decisions: Vec<bool>,
-        /// Scratch per-node error buffer for [`BankKernel::Lanes`]; stays
-        /// empty on the per-row path.
-        errs: Vec<f64>,
-    },
-}
-
-/// Runs one shard's transmission decisions for one tick; returns the
-/// per-node send decisions.
-fn decide_shard(
-    transmitters: &mut [AdaptiveTransmitter],
+/// One slot of work for one shard: the worker steps `bank`, refills
+/// `frame`, and sends the job back.
+struct Job {
     t: usize,
-    xs: &[f64],
-    zs: &[f64],
-) -> Vec<bool> {
-    xs.iter()
-        .zip(zs)
-        .zip(transmitters)
-        .map(|((&x, &z), tr)| {
-            if t == 0 {
-                // Bootstrap tick: everyone reports (clock still consumed to
-                // stay aligned with the reference driver).
-                let _ = tr.decide(&[x], &[x]);
-                true
-            } else {
-                tr.decide(&[x], &[z])
-            }
-        })
-        .collect()
+    xs: Vec<f64>,
+    zs: Vec<f64>,
+    bank: TransmitterBank,
+    frame: ReportFrame,
 }
 
-/// The bank-based twin of [`decide_shard`]: one batched pass over the
-/// shard, bit-identical decisions, results in `out`. Both bank kernels
-/// produce bit-identical decisions; [`BankKernel::Lanes`] runs the phased
-/// SIMD-shaped sweeps through the shared `errs` scratch.
-fn decide_bank(
-    bank: &mut TransmitterBank,
-    kernel: BankKernel,
-    t: usize,
-    xs: &[f64],
-    zs: &[f64],
-    errs: &mut Vec<f64>,
-    out: &mut Vec<bool>,
-) {
-    // Bootstrap tick compares against the measurement itself, exactly like
-    // the per-node path (everyone reports regardless of the decision).
-    let zref: &[f64] = if t == 0 { xs } else { zs };
-    match kernel {
-        BankKernel::PerRow => bank.decide_batch_against(xs, zref, out),
-        BankKernel::Lanes => bank.decide_batch_lanes_against(xs, zref, errs, out),
-    }
-}
-
-/// The worker thread body for nodes `lo..hi`.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-// dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain: simnet::threaded::run_threaded_supervised ->
-// simnet::threaded::worker_loop
+/// The worker thread body for the shard starting at node `lo`.
 fn worker_loop(
     lo: usize,
-    hi: usize,
-    mode: IngestMode,
-    bank_kernel: BankKernel,
-    tx_config: TransmitConfig,
-    meter: Meter,
-    in_rx: Receiver<WorkerMsg>,
-    out_tx: Sender<ShardBatch>,
+    kernel: BankKernel,
+    jobs: Receiver<Job>,
+    done: Sender<Job>,
     panic_at: Option<usize>,
 ) {
-    let mut state = match mode {
-        IngestMode::Reports => ShardState::PerNode(
-            (lo..hi)
-                .map(|_| AdaptiveTransmitter::new(tx_config))
-                .collect(),
-        ),
-        IngestMode::Frame => ShardState::Bank {
-            bank: TransmitterBank::new(tx_config, hi - lo),
-            decisions: Vec::with_capacity(hi - lo),
-            errs: Vec::new(),
-        },
-    };
-    while let Ok(msg) = in_rx.recv() {
-        match msg {
-            WorkerMsg::Shutdown => break,
-            WorkerMsg::Replay { t, xs, zs } => match &mut state {
-                ShardState::PerNode(transmitters) => {
-                    decide_shard(transmitters, t, &xs, &zs);
-                }
-                ShardState::Bank {
-                    bank,
-                    decisions,
-                    errs,
-                } => {
-                    decide_bank(bank, bank_kernel, t, &xs, &zs, errs, decisions);
-                }
-            },
-            WorkerMsg::Tick { t, xs, zs, frame } => {
-                if panic_at == Some(t) {
-                    // lint:allow(panic): injected fault for the chaos suite;
-                    // the supervisor must observe a real worker panic
-                    panic!("injected fault: worker for nodes {lo}..{hi} at tick {t}");
-                }
-                let batch = match &mut state {
-                    ShardState::PerNode(transmitters) => {
-                        let reports: Vec<Report> = decide_shard(transmitters, t, &xs, &zs)
-                            .into_iter()
-                            .enumerate()
-                            .filter(|&(_, send)| send)
-                            .map(|(off, _)| Report {
-                                node: lo + off,
-                                t,
-                                values: vec![xs[off]],
-                            })
-                            .collect();
-                        // Meter only after every decision succeeded, so a
-                        // panic mid-tick never leaves partial accounting
-                        // behind.
-                        for r in &reports {
-                            meter.record(r);
-                        }
-                        ShardBatch::Reports(reports)
-                    }
-                    ShardState::Bank {
-                        bank,
-                        decisions,
-                        errs,
-                    } => {
-                        decide_bank(bank, bank_kernel, t, &xs, &zs, errs, decisions);
-                        // The supervisor ships the shard's recycled buffer
-                        // with the tick; a fresh one is only needed right
-                        // after a respawn, when the old buffer died with
-                        // the previous worker.
-                        let mut frame = frame.unwrap_or_else(|| ReportFrame::new(1));
-                        frame.reset(t);
-                        for (off, &x) in xs.iter().enumerate() {
-                            if t == 0 || decisions[off] {
-                                frame.push_scalar(lo + off, x);
-                            }
-                        }
-                        // One metering call for the whole shard, after all
-                        // decisions succeeded.
-                        meter.record_frame(&frame);
-                        ShardBatch::Frame(frame)
-                    }
-                };
-                if out_tx.send(batch).is_err() {
-                    break;
-                }
-            }
+    let mut decider = Decider::new(kernel);
+    while let Ok(mut job) = jobs.recv() {
+        if panic_at == Some(job.t) {
+            // lint:allow(panic): injected fault for the chaos suite;
+            // the supervisor must observe a real worker panic
+            panic!(
+                "injected fault: worker for nodes {lo}..{} at tick {}",
+                lo + job.xs.len(),
+                job.t
+            );
+        }
+        decider.step(&mut job.bank, lo, job.t, &job.xs, &job.zs, &mut job.frame);
+        if done.send(job).is_err() {
+            break;
         }
     }
 }
@@ -281,6 +104,157 @@ fn panic_reason(payload: Box<dyn Any + Send>) -> String {
         s.clone()
     } else {
         "unknown panic payload".to_string()
+    }
+}
+
+/// One shard's worker and its recovery state.
+struct Worker {
+    lo: usize,
+    hi: usize,
+    /// The shard's bank as of its last completed slot.
+    bank: TransmitterBank,
+    jobs: Sender<Job>,
+    done: Receiver<Job>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl Worker {
+    fn spawn(
+        lo: usize,
+        hi: usize,
+        bank: TransmitterBank,
+        kernel: BankKernel,
+        panic_at: Option<usize>,
+    ) -> Self {
+        let (jobs, job_rx) = channel::unbounded::<Job>();
+        let (done_tx, done) = channel::unbounded::<Job>();
+        let handle = thread::spawn(move || worker_loop(lo, kernel, job_rx, done_tx, panic_at));
+        Worker {
+            lo,
+            hi,
+            bank,
+            jobs,
+            done,
+            handle: Some(handle),
+        }
+    }
+
+    /// Sends slot `t` with a copy of the last good bank. A dead worker
+    /// drops the job; the receive side notices.
+    // lint:allow(panic-path): fn-scope audit: `lo..hi` is one of the
+    // contiguous ranges `Workers::spawn` cut from `0..n`, and both slices
+    // span all `n` nodes; exemplar chain: simnet::threaded::Workers::step
+    // -> simnet::threaded::Worker::send
+    fn send(&self, t: usize, x: &[f64], zs: &[f64], frame: ReportFrame) {
+        let (lo, hi) = (self.lo, self.hi);
+        let _ = self.jobs.send(Job {
+            t,
+            xs: x[lo..hi].to_vec(),
+            zs: zs[lo..hi].to_vec(),
+            bank: self.bank.clone(),
+            frame,
+        });
+    }
+}
+
+/// The supervised worker executor: one worker per contiguous shard.
+pub(crate) struct Workers {
+    kernel: BankKernel,
+    respawns_left: usize,
+    workers: Vec<Worker>,
+}
+
+impl Workers {
+    /// Spawns `shards` workers (clamped to `n`) over near-equal
+    /// contiguous node ranges.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for `shards == 0`.
+    pub(crate) fn spawn(
+        tx: TransmitConfig,
+        n: usize,
+        shards: usize,
+        kernel: BankKernel,
+        options: &SupervisorOptions,
+    ) -> Result<Self, SimError> {
+        if shards == 0 {
+            return Err(SimError::InvalidConfig {
+                reason: "shards must be positive".into(),
+            });
+        }
+        let shards = shards.min(n);
+        let workers = (0..shards)
+            .map(|s| {
+                // lint:allow(panic-path): shards == 0 is rejected above
+                let (lo, hi) = (s * n / shards, (s + 1) * n / shards);
+                let panic_at = options
+                    .worker_panic_at
+                    .and_then(|(ps, pt)| (ps == s).then_some(pt));
+                Worker::spawn(lo, hi, TransmitterBank::new(tx, hi - lo), kernel, panic_at)
+            })
+            .collect();
+        Ok(Workers {
+            kernel,
+            respawns_left: options.max_respawns,
+            workers,
+        })
+    }
+
+    /// Number of shards.
+    pub(crate) fn shards(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Runs slot `t` on every shard and collects the shard frames into
+    /// `frames` (one per shard, ascending). A worker that dies is reaped,
+    /// respawned from its last good bank, and re-run on the same slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::WorkerFailed`] once the respawn budget is spent.
+    pub(crate) fn step(
+        &mut self,
+        t: usize,
+        x: &[f64],
+        zs: &[f64],
+        frames: &mut [ReportFrame],
+    ) -> Result<(), SimError> {
+        for (worker, frame) in self.workers.iter().zip(frames.iter_mut()) {
+            worker.send(t, x, zs, std::mem::replace(frame, ReportFrame::new(1)));
+        }
+        for (s, (worker, frame)) in self.workers.iter_mut().zip(frames).enumerate() {
+            loop {
+                if let Ok(job) = worker.done.recv() {
+                    worker.bank = job.bank;
+                    *frame = job.frame;
+                    break;
+                }
+                let reason = match worker.handle.take().map(JoinHandle::join) {
+                    Some(Err(payload)) => panic_reason(payload),
+                    Some(Ok(())) => "worker exited unexpectedly".to_string(),
+                    None => "worker already reaped".to_string(),
+                };
+                if self.respawns_left == 0 {
+                    return Err(SimError::WorkerFailed { shard: s, reason });
+                }
+                self.respawns_left -= 1;
+                let bank = worker.bank.clone();
+                *worker = Worker::spawn(worker.lo, worker.hi, bank, self.kernel, None);
+                worker.send(t, x, zs, ReportFrame::new(1));
+            }
+        }
+        Ok(())
+    }
+
+    /// Shuts the workers down and joins them.
+    pub(crate) fn join(self) {
+        for worker in self.workers {
+            drop(worker.jobs);
+            if let Some(handle) = worker.handle {
+                let _ = handle.join();
+            }
+        }
     }
 }
 
@@ -310,7 +284,7 @@ pub fn run_threaded(
 }
 
 /// The supervised threaded driver: like [`run_threaded`], plus worker
-/// respawn with transmitter-state replay, periodic controller
+/// respawn from each shard's last good bank, periodic controller
 /// checkpointing, and fault injection (see [`SupervisorOptions`]).
 ///
 /// # Errors
@@ -325,318 +299,8 @@ pub fn run_threaded_supervised(
     shards: usize,
     options: &SupervisorOptions,
 ) -> Result<SimReport, SimError> {
-    if shards == 0 {
-        return Err(SimError::InvalidConfig {
-            reason: "shards must be positive".into(),
-        });
-    }
-    if !(config.budget > 0.0 && config.budget <= 1.0) {
-        return Err(SimError::InvalidConfig {
-            reason: format!("budget must be within (0, 1], got {}", config.budget),
-        });
-    }
-    config.delivery.validate()?;
-    if config.delivery.arq.is_enabled() && config.ingest == IngestMode::Reports {
-        return Err(SimError::InvalidConfig {
-            reason: "ARQ retransmission requires frame ingest \
-                     (sequence numbers live on ReportFrame)"
-                .into(),
-        });
-    }
-    let n = trace.num_nodes();
-    let steps = trace.num_steps();
-    let shards = shards.min(n);
-    let mut controller = Controller::new(ControllerConfig {
-        num_nodes: n,
-        k: config.k,
-        m: config.m,
-        m_prime: config.m_prime,
-        warmup: config.warmup,
-        retrain_every: config.retrain_every,
-        model: config.model.clone(),
-        seed: config.seed,
-        compute: config.compute,
-        ..Default::default()
-    })?;
-    let meter = Meter::new();
-    // When the delivery layer is active, bandwidth is accounted at
-    // delivery by the supervisor (lost traffic costs nothing, duplicates
-    // cost twice); the workers then meter into a detached scratch meter
-    // whose totals are discarded. On the passthrough fast path the
-    // workers meter the real counters directly, exactly as before.
-    let delivery_active = !config.delivery.is_passthrough();
-    let worker_meter = if delivery_active {
-        Meter::new()
-    } else {
-        meter.clone()
-    };
-    let tx_config = TransmitConfig {
-        budget: config.budget,
-        v0: config.v0,
-        gamma: config.gamma,
-    };
-
-    // Shard boundaries: contiguous, near-equal ranges.
-    let bounds: Vec<(usize, usize)> = (0..shards)
-        .map(|s| (s * n / shards, (s + 1) * n / shards))
-        .collect();
-
-    let mode = config.ingest;
-    let bank_kernel = config.compute.bank_kernel;
-    let spawn = |(lo, hi): (usize, usize), panic_at: Option<usize>| -> ShardLink {
-        let (in_tx, in_rx) = channel::unbounded::<WorkerMsg>();
-        let (out_tx, out_rx) = channel::unbounded::<ShardBatch>();
-        let meter = worker_meter.clone();
-        let handle = thread::spawn(move || {
-            worker_loop(
-                lo,
-                hi,
-                mode,
-                bank_kernel,
-                tx_config,
-                meter,
-                in_rx,
-                out_tx,
-                panic_at,
-            )
-        });
-        ShardLink {
-            in_tx,
-            out_rx,
-            handle: Some(handle),
-        }
-    };
-    let mut links: Vec<ShardLink> = bounds
-        .iter()
-        .enumerate()
-        .map(|(s, &b)| {
-            let panic_at = options
-                .worker_panic_at
-                .and_then(|(ps, pt)| if ps == s { Some(pt) } else { None });
-            spawn(b, panic_at)
-        })
-        .collect();
-
-    // Per-shard input history, for rebuilding transmitter state on respawn.
-    let mut input_log: Vec<Vec<(Vec<f64>, Vec<f64>)>> = vec![Vec::new(); shards];
-    let mut respawns_left = options.max_respawns;
-    let checkpoints_wanted = options.checkpoint_every > 0 || options.controller_crash_at.is_some();
-    let mut last_checkpoint: Option<ControllerSnapshot> =
-        checkpoints_wanted.then(|| controller.snapshot());
-
-    // Frame-mode recycled buffers: one per shard (shipped to the worker
-    // each tick and returned with its batch) plus one merge target. Worker
-    // death loses the in-flight shard buffer; the respawned worker simply
-    // allocates a fresh one.
-    let mut shard_bufs: Vec<Option<ReportFrame>> = (0..shards)
-        .map(|_| (mode == IngestMode::Frame).then(|| ReportFrame::new(1)))
-        .collect();
-    let mut merged = ReportFrame::with_capacity(1, if mode == IngestMode::Frame { n } else { 0 });
-
-    // Delivery plane (frame mode) / per-shard link models (report mode).
-    // Each shard keeps its own seeded RNG stream, so results are
-    // independent of shard interleaving and match the reference driver.
-    let mut plane = (delivery_active && mode == IngestMode::Frame)
-        .then(|| DeliveryPlane::new(shards, &config.delivery));
-    let mut report_links: Vec<LinkModel<Vec<Report>>> =
-        if delivery_active && mode == IngestMode::Reports {
-            (0..shards)
-                .map(|s| LinkModel::new(config.delivery.link, s))
-                .collect()
-        } else {
-            Vec::new()
-        };
-    let mut inbox: Vec<ReportFrame> = Vec::new();
-    // Hierarchical controller + frame mode without a delivery plane: the
-    // workers already produce one frame per supervisor shard, so hand the
-    // per-shard frames straight to the controller's multi-frame entry
-    // point instead of copying them into one merged frame first. The
-    // admitted set is identical (admission is per node/tick and the
-    // frames arrive in ascending node order); this only skips the merge
-    // copy that the hierarchical tick would immediately re-partition.
-    let route_shard_frames =
-        mode == IngestMode::Frame && !delivery_active && config.compute.shards > 1;
-    let mut shard_frames: Vec<ReportFrame> = Vec::with_capacity(shards);
-
-    let mut staleness = TimeAveragedRmse::new();
-    let mut intermediate = TimeAveragedRmse::new();
-    let mut sent: u64 = 0;
-    for t in 0..steps {
-        if options.controller_crash_at == Some(t) {
-            if let Some(cp) = &last_checkpoint {
-                // The controller's live state is gone; resume from the
-                // latest checkpoint. Stored values regress to the
-                // checkpoint, so accuracy dips until fresh reports land.
-                controller = Controller::restore(cp.clone())?;
-            }
-        }
-        let x = trace.snapshot(resource, t)?;
-        let stored = controller.stored().to_vec();
-        for (s, &(lo, hi)) in bounds.iter().enumerate() {
-            input_log[s].push((x[lo..hi].to_vec(), stored[lo..hi].to_vec()));
-        }
-        let mut tick_reports = Vec::new();
-        merged.reset(t);
-        for (s, &b) in bounds.iter().enumerate() {
-            // Same values the loop above logged for this shard, rebuilt
-            // from the sources instead of read back out of the log.
-            let (lo, hi) = b;
-            let (xs, zs) = (x[lo..hi].to_vec(), stored[lo..hi].to_vec());
-            loop {
-                let delivered = links[s]
-                    .in_tx
-                    .send(WorkerMsg::Tick {
-                        t,
-                        xs: xs.clone(),
-                        zs: zs.clone(),
-                        frame: shard_bufs[s].take(),
-                    })
-                    .is_ok();
-                if delivered {
-                    match links[s].out_rx.recv() {
-                        Ok(ShardBatch::Reports(mut reports)) => {
-                            sent += reports.len() as u64;
-                            if delivery_active {
-                                // The whole tick batch travels as one link
-                                // payload (same granularity as a frame), so
-                                // the RNG stream matches frame mode for the
-                                // same plan.
-                                report_links[s].send(reports, t, n);
-                            } else {
-                                tick_reports.append(&mut reports);
-                            }
-                            break;
-                        }
-                        Ok(ShardBatch::Frame(frame)) => {
-                            sent += frame.len() as u64;
-                            if let Some(plane) = &mut plane {
-                                plane.submit(s, t, Some(&frame), n);
-                            } else if route_shard_frames {
-                                // Shard `s`'s frame is `shard_frames[s]`
-                                // (every shard yields exactly one frame per
-                                // tick here); the buffer returns to
-                                // `shard_bufs` after the controller tick.
-                                shard_frames.push(frame);
-                                break;
-                            } else {
-                                // Shards merge in ascending shard order, so
-                                // the merged frame is in ascending node order
-                                // — the same order `Controller::tick` sorts
-                                // into.
-                                merged.extend_from(&frame);
-                            }
-                            shard_bufs[s] = Some(frame);
-                            break;
-                        }
-                        Err(_) => {}
-                    }
-                }
-                // The worker died. Reap it for the panic payload, then
-                // respawn the shard, rebuild its transmitters by replaying
-                // the input history, and re-run the interrupted tick.
-                let reason = match links[s].handle.take() {
-                    Some(handle) => match handle.join() {
-                        Err(payload) => panic_reason(payload),
-                        Ok(()) => "worker exited unexpectedly".to_string(),
-                    },
-                    None => "worker already reaped".to_string(),
-                };
-                if respawns_left == 0 {
-                    return Err(SimError::WorkerFailed { shard: s, reason });
-                }
-                respawns_left -= 1;
-                links[s] = spawn(b, None);
-                let past = input_log[s].len() - 1;
-                for (rt, (rxs, rzs)) in input_log[s][..past].iter().enumerate() {
-                    let _ = links[s].in_tx.send(WorkerMsg::Replay {
-                        t: rt,
-                        xs: rxs.clone(),
-                        zs: rzs.clone(),
-                    });
-                }
-            }
-        }
-        let tick = match mode {
-            IngestMode::Reports => {
-                if delivery_active {
-                    for link in &mut report_links {
-                        for batch in link.collect(t) {
-                            // Bandwidth is metered at delivery: lost batches
-                            // cost nothing, duplicated batches cost twice.
-                            for r in &batch {
-                                meter.record(r);
-                            }
-                            tick_reports.extend(batch);
-                        }
-                    }
-                }
-                controller.tick(tick_reports)?
-            }
-            IngestMode::Frame => match &mut plane {
-                None if route_shard_frames => {
-                    let tick = controller.tick_frames(&shard_frames)?;
-                    for (s, frame) in shard_frames.drain(..).enumerate() {
-                        shard_bufs[s] = Some(frame);
-                    }
-                    tick
-                }
-                None => controller.tick_frame(&merged)?,
-                Some(plane) => {
-                    plane.collect_into(t, &mut inbox);
-                    for f in &inbox {
-                        meter.record_frame(f);
-                    }
-                    let tick = controller.tick_frames(&inbox)?;
-                    plane.ack_delivered(&inbox, t);
-                    tick
-                }
-            },
-        };
-        staleness.add(rmse_step_scalar(controller.stored(), &x));
-        intermediate.add(tick.intermediate_rmse);
-        // Query plane: serve the configured probe batch between ticks
-        // (no-op at the default of 0). Runs before the checkpoint is cut so
-        // a restored controller carries the same generation and read
-        // counters the original had.
-        controller.serve_query_probes(config.query_probe)?;
-        if options.checkpoint_every > 0 && (t + 1) % options.checkpoint_every == 0 {
-            last_checkpoint = Some(controller.snapshot());
-        }
-    }
-    // Shut the workers down.
-    for link in &links {
-        let _ = link.in_tx.send(WorkerMsg::Shutdown);
-    }
-    for link in &mut links {
-        if let Some(handle) = link.handle.take() {
-            let _ = handle.join();
-        }
-    }
-    let mut link_summary = LinkSummary::default();
-    if let Some(plane) = &plane {
-        link_summary = plane.summary();
-    }
-    for link in &report_links {
-        link_summary.merge(link.summary());
-    }
-    Ok(SimReport {
-        steps,
-        messages: meter.messages(),
-        bytes: meter.bytes(),
-        realized_frequency: sent as f64 / (steps as f64 * n as f64),
-        staleness_rmse: staleness.value(),
-        intermediate_rmse: intermediate.value(),
-        quarantined: controller.quarantined(),
-        model_fallbacks: controller.model_fallbacks(),
-        fallback_fit_failures: controller.fallback_fit_failures(),
-        duplicates: controller.duplicates(),
-        mean_age: controller.age().mean(),
-        peak_age: controller.age().peak(),
-        masked_node_steps: controller.masked_node_steps(),
-        link: link_summary,
-        forecast_table_rebuilds: controller.forecast_table_rebuilds(),
-        forecast_reads_served: controller.forecast_reads_served(),
-    })
+    let executor = Executor::Workers(shards, options);
+    driver::drive(config, trace, resource, executor, None).map(|r| r.sim)
 }
 
 #[cfg(test)]
@@ -710,32 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn report_mode_matches_frame_mode_across_shards() {
-        let trace = presets::google_like()
-            .nodes(20)
-            .steps(120)
-            .seed(9)
-            .generate();
-        let reports_config = SimConfig {
-            ingest: crate::transport::IngestMode::Reports,
-            ..quick_config()
-        };
-        let reference = Simulation::new(reports_config.clone())
-            .unwrap()
-            .run(&trace, Resource::Cpu)
-            .unwrap();
-        for shards in [1, 3, 7] {
-            let framed = run_threaded(&quick_config(), &trace, Resource::Cpu, shards).unwrap();
-            let per_report = run_threaded(&reports_config, &trace, Resource::Cpu, shards).unwrap();
-            assert_eq!(framed, reference, "frame mode, {shards} shards diverged");
-            assert_eq!(
-                per_report, reference,
-                "report mode, {shards} shards diverged"
-            );
-        }
-    }
-
-    #[test]
     fn worker_panic_recovery_is_bit_identical_in_frame_mode() {
         let trace = presets::google_like()
             .nodes(20)
@@ -746,8 +384,8 @@ mod tests {
             .unwrap()
             .run(&trace, Resource::Cpu)
             .unwrap();
-        // The dying worker takes its recycled frame buffer with it; the
-        // respawned bank must be rebuilt by replay and stay bit-identical.
+        // The dying worker takes its recycled frame buffer and its bank
+        // with it; the respawn restarts from the last good bank.
         let supervised = run_threaded_supervised(
             &quick_config(),
             &trace,
@@ -768,7 +406,7 @@ mod tests {
         // in the threaded driver too; the run must stay bit-identical to
         // the plain threaded run (which itself matches the reference) in
         // every field except the plane's own accounting.
-        use crate::link::DeliveryOptions;
+        use crate::link::{DeliveryOptions, LinkSummary};
         use utilcast_core::transmit::ArqConfig;
         let trace = presets::google_like()
             .nodes(20)
@@ -873,16 +511,13 @@ mod tests {
             .steps(120)
             .seed(9)
             .generate();
-        let config = SimConfig {
-            ingest: crate::transport::IngestMode::Reports,
-            ..quick_config()
-        };
+        let config = quick_config();
         let reference = Simulation::new(config.clone())
             .unwrap()
             .run(&trace, Resource::Cpu)
             .unwrap();
-        // Shard 2 dies mid-run; the supervisor must rebuild its transmitter
-        // state so exactly the same reports flow afterwards.
+        // Shard 2 dies mid-run; the supervisor must restore its bank so
+        // exactly the same reports flow afterwards.
         let supervised = run_threaded_supervised(
             &config,
             &trace,

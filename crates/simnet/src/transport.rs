@@ -1,22 +1,15 @@
-//! Message types, flat report frames, and bandwidth accounting.
+//! Report frames, query wire codecs, and bandwidth accounting.
 //!
 //! The point of the paper's adaptive transmission is to cut communication
 //! cost, so the simulation meters it: every measurement report is modelled
 //! as a fixed header plus one `f64` per resource dimension, and a shared
-//! [`Meter`] (plain atomics, written by every node shard) accumulates
-//! totals.
+//! [`Meter`] (plain atomics) accumulates totals.
 //!
-//! Two wire representations exist:
-//!
-//! * [`Report`] — one heap-allocated record per transmission, the seed
-//!   representation retained for the reference ingest path
-//!   ([`IngestMode::Reports`]);
-//! * [`ReportFrame`] — one recycled flat buffer per shard per tick (node
-//!   ids + contiguous values + count), the batched representation of the
-//!   default [`IngestMode::Frame`] path. Frames are metered with **one**
-//!   accounting call ([`Meter::record_batch`]) and expose a compat
-//!   iterator ([`ReportFrame::iter`]) so the controller's quarantine and
-//!   validation logic is byte-for-byte shared with the per-report path.
+//! Reports travel as [`ReportFrame`]s: one recycled flat buffer per shard
+//! per tick (node ids + contiguous values + count). A frame is metered with
+//! **one** accounting call ([`Meter::record_frame`]) and read entry by
+//! entry through [`ReportFrame::iter`], which is what the controller's
+//! ingress validation consumes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,42 +19,7 @@ use serde::{Deserialize, Serialize};
 /// Modelled header bytes per report (node id + timestamp + framing).
 pub const HEADER_BYTES: u64 = 16;
 
-/// Which node→controller ingest representation a driver runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IngestMode {
-    /// Batched flat-buffer path (default): [`crate::transport::ReportFrame`]
-    /// per shard per tick, one meter call per frame, and
-    /// [`crate::controller::Controller::tick_frame`] batch ingest.
-    #[default]
-    Frame,
-    /// The seed per-record path: one [`Report`] allocation per
-    /// transmission, one meter call per report, and
-    /// [`crate::controller::Controller::tick`]. Kept selectable so
-    /// benchmarks and the determinism suite can compare against it.
-    Reports,
-}
-
-/// A measurement report from a local node to the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Report {
-    /// Sending node index.
-    pub node: usize,
-    /// Time step of the measurement.
-    pub t: usize,
-    /// Measurement payload (one value per resource dimension).
-    pub values: Vec<f64>,
-}
-
-impl Report {
-    /// Modelled wire size in bytes.
-    pub fn wire_bytes(&self) -> u64 {
-        HEADER_BYTES + 8 * self.values.len() as u64
-    }
-}
-
-/// A borrowed view of one entry of a [`ReportFrame`], shaped like a
-/// [`Report`] so ingress validation code can treat both representations
-/// uniformly.
+/// A borrowed view of one entry of a [`ReportFrame`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameEntry<'a> {
     /// Sending node index.
@@ -74,10 +32,8 @@ pub struct FrameEntry<'a> {
 
 /// One tick's worth of reports from a shard, stored as flat buffers: node
 /// ids in one vector, payload values contiguous in another (`width` values
-/// per entry). Replaces a `Vec<Report>` — and its one-allocation-per-report
-/// cost — on the batched ingest path. The buffers are recycled across
-/// ticks via [`ReportFrame::reset`], so the steady state allocates
-/// nothing.
+/// per entry). The buffers are recycled across ticks via
+/// [`ReportFrame::reset`], so the steady state allocates nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReportFrame {
     t: usize,
@@ -101,15 +57,7 @@ impl ReportFrame {
     ///
     /// Panics if `width == 0` (a report always carries at least one value).
     pub fn new(width: usize) -> Self {
-        assert!(width > 0, "frame width must be positive");
-        ReportFrame {
-            t: 0,
-            width,
-            nodes: Vec::new(),
-            values: Vec::new(),
-            seq: None,
-            source: 0,
-        }
+        ReportFrame::with_capacity(width, 0)
     }
 
     /// Creates an empty frame with capacity for `entries` reports.
@@ -169,19 +117,6 @@ impl ReportFrame {
         );
         self.nodes.push(node);
         self.values.extend_from_slice(values);
-    }
-
-    /// Appends every entry of `other` (a shard frame being merged into a
-    /// combined tick frame).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths or ticks differ.
-    pub fn extend_from(&mut self, other: &ReportFrame) {
-        assert_eq!(self.width, other.width, "frame width mismatch on merge");
-        assert_eq!(self.t, other.t, "frame tick mismatch on merge");
-        self.nodes.extend_from_slice(&other.nodes);
-        self.values.extend_from_slice(&other.values);
     }
 
     /// The tick this frame belongs to.
@@ -246,34 +181,20 @@ impl ReportFrame {
         &self.values
     }
 
-    /// Modelled wire size of the whole frame: exactly the sum of
-    /// [`Report::wire_bytes`] over equivalent per-record reports, so the
-    /// two ingest paths meter identical byte totals.
+    /// Modelled wire size of the whole frame: one header plus `width`
+    /// values per entry.
     pub fn wire_bytes(&self) -> u64 {
         self.len() as u64 * (HEADER_BYTES + 8 * self.width as u64)
     }
 
     /// Iterates the frame as borrowed [`FrameEntry`] records in push
-    /// order — the compat view that lets the controller run the same
-    /// ingress validation it applies to [`Report`]s.
+    /// order — the view the controller's ingress validation consumes.
     pub fn iter(&self) -> impl Iterator<Item = FrameEntry<'_>> {
         let (t, width) = (self.t, self.width);
         self.nodes
             .iter()
             .zip(self.values.chunks_exact(width))
             .map(move |(&node, values)| FrameEntry { node, t, values })
-    }
-
-    /// Copies the frame out as owned [`Report`]s (test/diagnostic helper;
-    /// the hot path never materializes these).
-    pub fn to_reports(&self) -> Vec<Report> {
-        self.iter()
-            .map(|e| Report {
-                node: e.node,
-                t: e.t,
-                values: e.values.to_vec(),
-            })
-            .collect()
     }
 }
 
@@ -295,7 +216,7 @@ impl QueryRequest {
     pub const WIRE_BYTES: u64 = 12;
 
     /// Modelled wire size in bytes (header + payload), matching the
-    /// [`Report`] accounting convention.
+    /// frame accounting convention.
     pub fn wire_bytes(&self) -> u64 {
         HEADER_BYTES + Self::WIRE_BYTES
     }
@@ -405,9 +326,8 @@ impl QueryResponse {
 
 /// Shared bandwidth meter. Internally a pair of relaxed atomic counters:
 /// totals are only read after all writers have quiesced (end of run), so
-/// no ordering stronger than `Relaxed` is needed, and the frame path's
-/// one-call-per-frame batching keeps even the atomic traffic off the
-/// per-report fast path.
+/// no ordering stronger than `Relaxed` is needed, and one call per frame
+/// keeps even the atomic traffic off the per-report fast path.
 #[derive(Debug, Clone, Default)]
 pub struct Meter {
     inner: Arc<MeterState>,
@@ -425,14 +345,8 @@ impl Meter {
         Meter::default()
     }
 
-    /// Records one report.
-    pub fn record(&self, report: &Report) {
-        self.record_batch(1, report.wire_bytes());
-    }
-
     /// Records a batch of `messages` reports totalling `bytes` modelled
-    /// wire bytes — the frame path's single accounting call per shard per
-    /// tick.
+    /// wire bytes.
     pub fn record_batch(&self, messages: u64, bytes: u64) {
         self.inner.messages.fetch_add(messages, Ordering::Relaxed);
         self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -521,29 +435,28 @@ mod tests {
         assert_eq!(QueryRequest::decode(&[]), None);
     }
 
+    fn frame(width: usize, t: usize, entries: &[(usize, &[f64])]) -> ReportFrame {
+        let mut f = ReportFrame::new(width);
+        f.reset(t);
+        for &(node, values) in entries {
+            f.push(node, values);
+        }
+        f
+    }
+
     #[test]
     fn wire_size_counts_header_and_payload() {
-        let r = Report {
-            node: 3,
-            t: 7,
-            values: vec![0.1, 0.2],
-        };
-        assert_eq!(r.wire_bytes(), HEADER_BYTES + 16);
+        let f = frame(2, 7, &[(3, &[0.1, 0.2])]);
+        assert_eq!(f.wire_bytes(), HEADER_BYTES + 16);
+        let f = frame(2, 7, &[(3, &[0.1, 0.2]), (4, &[0.3, 0.4])]);
+        assert_eq!(f.wire_bytes(), 2 * (HEADER_BYTES + 16));
     }
 
     #[test]
     fn meter_accumulates() {
         let m = Meter::new();
-        m.record(&Report {
-            node: 0,
-            t: 0,
-            values: vec![0.5],
-        });
-        m.record(&Report {
-            node: 1,
-            t: 0,
-            values: vec![0.5, 0.6, 0.7],
-        });
+        m.record_frame(&frame(1, 0, &[(0, &[0.5])]));
+        m.record_frame(&frame(3, 0, &[(1, &[0.5, 0.6, 0.7])]));
         assert_eq!(m.messages(), 2);
         assert_eq!(m.bytes(), 2 * HEADER_BYTES + 8 + 24);
     }
@@ -552,11 +465,7 @@ mod tests {
     fn meter_clones_share_state() {
         let m = Meter::new();
         let m2 = m.clone();
-        m2.record(&Report {
-            node: 0,
-            t: 0,
-            values: vec![1.0],
-        });
+        m2.record_frame(&frame(1, 0, &[(0, &[1.0])]));
         assert_eq!(m.messages(), 1);
     }
 
@@ -568,11 +477,7 @@ mod tests {
                 let m = m.clone();
                 std::thread::spawn(move || {
                     for t in 0..100 {
-                        m.record(&Report {
-                            node: i,
-                            t,
-                            values: vec![0.0],
-                        });
+                        m.record_frame(&frame(1, t, &[(i, &[0.0])]));
                     }
                 })
             })
@@ -584,24 +489,24 @@ mod tests {
     }
 
     #[test]
-    fn frame_metering_matches_per_report_metering() {
-        let mut frame = ReportFrame::new(2);
-        frame.reset(5);
-        frame.push(3, &[0.1, 0.2]);
-        frame.push(7, &[0.3, 0.4]);
-        frame.push(9, &[0.5, 0.6]);
-        let per_report = Meter::new();
-        for r in frame.to_reports() {
-            per_report.record(&r);
+    fn frame_metering_matches_per_entry_metering() {
+        let f = frame(
+            2,
+            5,
+            &[(3, &[0.1, 0.2]), (7, &[0.3, 0.4]), (9, &[0.5, 0.6])],
+        );
+        let per_entry = Meter::new();
+        for e in f.iter() {
+            per_entry.record_batch(1, HEADER_BYTES + 8 * e.values.len() as u64);
         }
         let batched = Meter::new();
-        batched.record_frame(&frame);
-        assert_eq!(batched.messages(), per_report.messages());
-        assert_eq!(batched.bytes(), per_report.bytes());
+        batched.record_frame(&f);
+        assert_eq!(batched.messages(), per_entry.messages());
+        assert_eq!(batched.bytes(), per_entry.bytes());
     }
 
     #[test]
-    fn frame_iter_matches_equivalent_reports() {
+    fn frame_iter_yields_entries_in_push_order() {
         let mut frame = ReportFrame::with_capacity(1, 4);
         frame.reset(11);
         frame.push_scalar(0, 0.25);
@@ -610,23 +515,18 @@ mod tests {
         assert!(!frame.is_empty());
         assert_eq!(frame.t(), 11);
         let entries: Vec<_> = frame.iter().collect();
-        assert_eq!(entries[0].node, 0);
-        assert_eq!(entries[0].t, 11);
-        assert_eq!(entries[0].values, &[0.25]);
-        assert_eq!(entries[1].node, 4);
-        assert_eq!(entries[1].values, &[0.75]);
         assert_eq!(
-            frame.to_reports(),
+            entries,
             vec![
-                Report {
+                FrameEntry {
                     node: 0,
                     t: 11,
-                    values: vec![0.25]
+                    values: &[0.25]
                 },
-                Report {
+                FrameEntry {
                     node: 4,
                     t: 11,
-                    values: vec![0.75]
+                    values: &[0.75]
                 },
             ]
         );
@@ -645,24 +545,6 @@ mod tests {
         assert_eq!(frame.t(), 1);
         assert_eq!(frame.nodes.capacity(), node_cap);
         assert_eq!(frame.values.capacity(), value_cap);
-    }
-
-    #[test]
-    fn frame_merge_keeps_shard_order() {
-        let mut merged = ReportFrame::new(1);
-        merged.reset(3);
-        let mut a = ReportFrame::new(1);
-        a.reset(3);
-        a.push_scalar(0, 0.1);
-        a.push_scalar(1, 0.2);
-        let mut b = ReportFrame::new(1);
-        b.reset(3);
-        b.push_scalar(2, 0.3);
-        merged.extend_from(&a);
-        merged.extend_from(&b);
-        assert_eq!(merged.nodes(), &[0, 1, 2]);
-        assert_eq!(merged.values(), &[0.1, 0.2, 0.3]);
-        assert_eq!(merged.wire_bytes(), 3 * (HEADER_BYTES + 8));
     }
 
     #[test]

@@ -69,7 +69,6 @@ fn everything_plan() -> FaultPlan {
         }],
         checkpoint_every: 25,
         seed: 42,
-        ..FaultPlan::none()
     }
 }
 

@@ -14,7 +14,7 @@ use utilcast_datasets::{presets, Resource, Trace};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
 use utilcast_simnet::sim::{SimConfig, Simulation};
 use utilcast_simnet::threaded::run_threaded;
-use utilcast_simnet::transport::{IngestMode, Report, ReportFrame};
+use utilcast_simnet::transport::ReportFrame;
 use utilcast_timeseries::lstm::{LstmConfig, LstmKernel};
 
 fn trace() -> Trace {
@@ -246,7 +246,7 @@ fn simd_norms_kernel_bit_identical_through_full_stack() {
 
 /// The lane batch-decide kernel forced through the full seed stack:
 /// `BankKernel::Lanes` keeps the per-row error sum and threshold compare
-/// in scalar order, so the frame-mode `SimReport` is bit-identical to the
+/// in scalar order, so the `SimReport` is bit-identical to the
 /// default per-row kernel, single-threaded and at every supervisor shard
 /// count.
 #[test]
@@ -256,7 +256,6 @@ fn lane_bank_kernel_bit_identical_through_full_stack() {
         k: 4,
         warmup: 30,
         retrain_every: 40,
-        ingest: IngestMode::Frame,
         compute: ComputeOptions {
             bank_kernel,
             ..Default::default()
@@ -330,77 +329,51 @@ fn simd_flat_lstm_kernel_deterministic_through_full_stack() {
     }
 }
 
-fn config_with_ingest(ingest: IngestMode) -> SimConfig {
+fn base_config() -> SimConfig {
     SimConfig {
         k: 4,
         warmup: 30,
         retrain_every: 40,
-        ingest,
         ..Default::default()
     }
 }
 
-/// The flat frame-based collection plane is bit-identical to the seed
-/// per-report path: same `SimReport` (exact `f64` equality) from the
-/// single-threaded driver and from the threaded driver at shard counts
-/// 1, 2, and 8.
+/// The nested points path into the clustering stage (`flat_points =
+/// false`) and the threaded driver at shard counts 1, 2, and 8 all
+/// reproduce the inline driver's `SimReport` bit for bit (exact `f64`
+/// equality).
 #[test]
-fn frame_ingest_bit_identical_to_report_ingest_at_any_shard_count() {
+fn nested_points_and_threaded_frames_bit_identical_to_inline() {
     let trace = trace();
-    let seed_path = Simulation::new(config_with_ingest(IngestMode::Reports))
+    let inline = Simulation::new(base_config())
         .unwrap()
         .run(&trace, Resource::Cpu)
         .unwrap();
-    let frame_path = Simulation::new(config_with_ingest(IngestMode::Frame))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    assert_eq!(frame_path, seed_path, "single-threaded frame path diverged");
-    // The full seed stack — per-report ingest plus the nested points path
-    // into the clustering stage — must also match the optimized stack.
-    let full_seed_stack = Simulation::new(SimConfig {
+    let nested = Simulation::new(SimConfig {
         compute: ComputeOptions {
             flat_points: false,
             ..Default::default()
         },
-        ..config_with_ingest(IngestMode::Reports)
+        ..base_config()
     })
     .unwrap()
     .run(&trace, Resource::Cpu)
     .unwrap();
-    assert_eq!(full_seed_stack, seed_path, "nested points path diverged");
+    assert_eq!(nested, inline, "nested points path diverged");
     for shards in [1, 2, 8] {
-        let threaded_frame = run_threaded(
-            &config_with_ingest(IngestMode::Frame),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
+        let threaded = run_threaded(&base_config(), &trace, Resource::Cpu, shards).unwrap();
         assert_eq!(
-            threaded_frame, seed_path,
-            "threaded frame path diverged at {shards} shards"
-        );
-        let threaded_reports = run_threaded(
-            &config_with_ingest(IngestMode::Reports),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
-        assert_eq!(
-            threaded_reports, seed_path,
-            "threaded report path diverged at {shards} shards"
+            threaded, inline,
+            "threaded driver diverged at {shards} shards"
         );
     }
 }
 
-/// With a hierarchical controller, the threaded driver routes each
-/// supervisor shard's frame straight into `Controller::tick_frames`
-/// instead of merging first. The `SimReport` must be bit-identical to the
-/// single-threaded driver's merged-frame run at every supervisor shard
-/// count — supervisor sharding and clustering sharding are independent
-/// axes, and neither may leak into results.
+/// With a hierarchical controller, the threaded driver hands one frame
+/// per supervisor shard to `Controller::tick_frames`. The `SimReport`
+/// must be bit-identical to the inline driver's single-frame run at every
+/// supervisor shard count — supervisor sharding and clustering sharding
+/// are independent axes, and neither may leak into results.
 #[test]
 fn hierarchical_threaded_driver_bit_identical_at_any_supervisor_shard_count() {
     let trace = trace();
@@ -409,7 +382,7 @@ fn hierarchical_threaded_driver_bit_identical_at_any_supervisor_shard_count() {
             shards: 4,
             ..Default::default()
         },
-        ..config_with_ingest(IngestMode::Frame)
+        ..base_config()
     };
     let reference = Simulation::new(hier_config.clone())
         .unwrap()
@@ -425,17 +398,15 @@ fn hierarchical_threaded_driver_bit_identical_at_any_supervisor_shard_count() {
     }
 }
 
-/// Under injected in-flight corruption, the frame and per-report ingest
-/// paths stay bit-identical — same quarantine and duplicate counters, same
-/// link accounting — at shard counts 1, 2, and 8. This holds because the
-/// link draws corruption **per payload entry**: a frame with E entries and
-/// a report batch with E entries consume the same RNG stream, and each
-/// shard's stream derives from `(plan seed, shard)` alone.
+/// Under injected in-flight corruption every corrupted entry is
+/// quarantined — the link's corruption modes are all invalid for unit-range
+/// traces — and each shard count replays bit for bit: each shard's link
+/// stream derives from `(plan seed, shard)` alone.
 #[test]
-fn corrupt_link_frame_ingest_bit_identical_to_report_ingest() {
+fn corrupt_link_is_quarantined_exactly_at_any_shard_count() {
     use utilcast_simnet::link::{DeliveryOptions, LinkPlan};
     let trace = trace();
-    let corrupt_config = |ingest: IngestMode| SimConfig {
+    let config = SimConfig {
         delivery: DeliveryOptions {
             link: LinkPlan {
                 corrupt_prob: 0.25,
@@ -444,46 +415,29 @@ fn corrupt_link_frame_ingest_bit_identical_to_report_ingest() {
             },
             ..DeliveryOptions::none()
         },
-        ..config_with_ingest(ingest)
+        ..base_config()
     };
-    let report_path = Simulation::new(corrupt_config(IngestMode::Reports))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    let frame_path = Simulation::new(corrupt_config(IngestMode::Frame))
+    let inline = Simulation::new(config.clone())
         .unwrap()
         .run(&trace, Resource::Cpu)
         .unwrap();
     assert!(
-        report_path.quarantined > 0,
+        inline.quarantined > 0,
         "0.25 corruption never fired in 200 ticks"
     );
-    assert_eq!(report_path.link.corrupted, report_path.quarantined);
-    assert_eq!(
-        frame_path, report_path,
-        "single-threaded frame path diverged under corruption"
-    );
+    assert_eq!(inline.link.corrupted, inline.quarantined);
     for shards in [1, 2, 8] {
-        let threaded_frame = run_threaded(
-            &corrupt_config(IngestMode::Frame),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
-        let threaded_reports = run_threaded(
-            &corrupt_config(IngestMode::Reports),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
-        assert!(threaded_frame.quarantined > 0);
-        assert_eq!(
-            threaded_frame, threaded_reports,
-            "frame vs report ingest diverged under corruption at {shards} shards"
-        );
+        let a = run_threaded(&config, &trace, Resource::Cpu, shards).unwrap();
+        let b = run_threaded(&config, &trace, Resource::Cpu, shards).unwrap();
+        assert!(a.quarantined > 0);
+        assert_eq!(a.link.corrupted, a.quarantined, "{shards} shards");
+        assert_eq!(a, b, "corrupt run not reproducible at {shards} shards");
     }
+    // One shard is the inline driver's single link stream.
+    assert_eq!(
+        run_threaded(&config, &trace, Resource::Cpu, 1).unwrap(),
+        inline
+    );
 }
 
 const PROP_NODES: usize = 6;
@@ -510,29 +464,38 @@ fn concurrent_controller() -> Controller {
     .unwrap()
 }
 
+/// Fills `frames` with tick `t`'s batch in arrival order, split into two
+/// frames at `cut`, so ticks exercise multi-frame ingest.
+fn fill_split(frames: &mut [ReportFrame; 2], t: usize, batch: &[(usize, f64)], cut: usize) {
+    for frame in frames.iter_mut() {
+        frame.reset(t);
+    }
+    for (i, &(node, v)) in batch.iter().enumerate() {
+        frames[usize::from(i >= cut)].push_scalar(node, v);
+    }
+}
+
 proptest! {
     /// Snapshot → JSON round trip → restore → replay is bit-identical to
     /// the uninterrupted run *with concurrent retraining and threaded
     /// warm-start clustering enabled*, for any report sequence (valid,
-    /// quarantinable, duplicate, out-of-order) and any split point.
+    /// quarantinable, duplicate, out-of-order), any split of each tick
+    /// across two frames, and any split point.
     #[test]
     fn snapshot_restore_bit_identical_with_concurrent_retraining(
         ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
         split_pct in 0u32..100,
+        cut in 0usize..8,
     ) {
         let split = (ticks.len() * split_pct as usize / 100).min(ticks.len() - 1);
-        let to_reports = |t: usize, batch: &[(usize, f64)]| -> Vec<Report> {
-            batch
-                .iter()
-                .map(|&(node, v)| Report { node, t, values: vec![v] })
-                .collect()
-        };
+        let mut frames = [ReportFrame::new(1), ReportFrame::new(1)];
 
         let mut uninterrupted = concurrent_controller();
         let mut resumed = concurrent_controller();
         for (t, batch) in ticks[..split].iter().enumerate() {
-            let a = uninterrupted.tick(to_reports(t, batch)).unwrap();
-            let b = resumed.tick(to_reports(t, batch)).unwrap();
+            fill_split(&mut frames, t, batch, cut);
+            let a = uninterrupted.tick_frames(&frames).unwrap();
+            let b = resumed.tick_frames(&frames).unwrap();
             prop_assert_eq!(a, b);
         }
 
@@ -540,48 +503,18 @@ proptest! {
         let mut resumed = Controller::restore(serde_json::from_str(&json).unwrap()).unwrap();
 
         for (t, batch) in ticks.iter().enumerate().skip(split) {
-            let a = uninterrupted.tick(to_reports(t, batch)).unwrap();
-            let b = resumed.tick(to_reports(t, batch)).unwrap();
+            fill_split(&mut frames, t, batch, cut);
+            let a = uninterrupted.tick_frames(&frames).unwrap();
+            let b = resumed.tick_frames(&frames).unwrap();
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(uninterrupted.stored(), resumed.stored());
         prop_assert_eq!(uninterrupted.snapshot(), resumed.snapshot());
     }
 
-    /// Frame ingest is bit-identical to per-report ingest at the controller
-    /// boundary for any report sequence — including out-of-range values,
-    /// unknown nodes, and intra-tick duplicates, all of which must be
-    /// quarantined identically on both paths.
-    #[test]
-    fn tick_frame_bit_identical_to_tick_for_any_batch(
-        ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
-    ) {
-        let mut per_report = concurrent_controller();
-        let mut framed = concurrent_controller();
-        let mut frame = ReportFrame::new(1);
-        for (t, batch) in ticks.iter().enumerate() {
-            let reports: Vec<Report> = batch
-                .iter()
-                .map(|&(node, v)| Report { node, t, values: vec![v] })
-                .collect();
-            frame.reset(t);
-            let mut sorted = batch.clone();
-            sorted.sort_by_key(|&(node, _)| node);
-            for (node, v) in sorted {
-                frame.push_scalar(node, v);
-            }
-            let a = per_report.tick(reports).unwrap();
-            let b = framed.tick_frame(&frame).unwrap();
-            prop_assert_eq!(a, b, "tick {} diverged", t);
-        }
-        prop_assert_eq!(per_report.stored(), framed.stored());
-        prop_assert_eq!(per_report.quarantined(), framed.quarantined());
-        prop_assert_eq!(per_report.snapshot(), framed.snapshot());
-    }
-
-    /// Snapshot → restore → replay over the *frame* ingest path is
-    /// bit-identical to the uninterrupted frame-path run for any report
-    /// sequence and split point.
+    /// Snapshot → restore → replay over node-sorted single frames (the
+    /// shape the drivers produce) is bit-identical to the uninterrupted
+    /// run for any report sequence and split point.
     #[test]
     fn snapshot_restore_bit_identical_on_frame_path(
         ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
@@ -602,8 +535,8 @@ proptest! {
         let mut resumed = concurrent_controller();
         for (t, batch) in ticks[..split].iter().enumerate() {
             fill(&mut frame, t, batch);
-            let a = uninterrupted.tick_frame(&frame).unwrap();
-            let b = resumed.tick_frame(&frame).unwrap();
+            let a = uninterrupted.tick_frames(std::slice::from_ref(&frame)).unwrap();
+            let b = resumed.tick_frames(std::slice::from_ref(&frame)).unwrap();
             prop_assert_eq!(a, b);
         }
 
@@ -612,8 +545,8 @@ proptest! {
 
         for (t, batch) in ticks.iter().enumerate().skip(split) {
             fill(&mut frame, t, batch);
-            let a = uninterrupted.tick_frame(&frame).unwrap();
-            let b = resumed.tick_frame(&frame).unwrap();
+            let a = uninterrupted.tick_frames(std::slice::from_ref(&frame)).unwrap();
+            let b = resumed.tick_frames(std::slice::from_ref(&frame)).unwrap();
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(uninterrupted.stored(), resumed.stored());

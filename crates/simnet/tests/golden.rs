@@ -16,7 +16,7 @@ use utilcast_datasets::{presets, Resource, Trace};
 use utilcast_simnet::faults::{run_with_faults, FaultPlan, FaultReport, PartitionWindow};
 use utilcast_simnet::link::{DeliveryOptions, LinkPlan};
 use utilcast_simnet::sim::{SimConfig, Simulation};
-use utilcast_simnet::threaded::{run_threaded, run_threaded_supervised, SupervisorOptions};
+use utilcast_simnet::threaded::{run_threaded_supervised, SupervisorOptions};
 
 fn trace() -> Trace {
     presets::google_like()
@@ -108,7 +108,10 @@ fn cases() -> Vec<(&'static str, String)> {
         ("threaded_1", supervised(&base(), 1, &plain)),
         ("threaded_3", supervised(&base(), 3, &plain)),
         ("threaded_7", supervised(&base(), 7, &plain)),
-        ("threaded_hierarchical", supervised(&hierarchical, 3, &plain)),
+        (
+            "threaded_hierarchical",
+            supervised(&hierarchical, 3, &plain),
+        ),
         ("inline_lossy", inline(lossy())),
         ("threaded_lossy_4", supervised(&lossy(), 4, &plain)),
         (

@@ -13,7 +13,7 @@ use serde::Serialize;
 use utilcast::core::pipeline::ModelSpec;
 use utilcast::datasets::{presets, Resource};
 use utilcast::simnet::faults::{run_with_faults, FaultPlan, FaultReport, PartitionWindow};
-use utilcast::simnet::link::LinkPlan;
+use utilcast::simnet::link::{DeliveryOptions, LinkPlan};
 use utilcast::simnet::sim::SimConfig;
 use utilcast::timeseries::arima::{ArimaFitOptions, ArimaGrid};
 
@@ -37,9 +37,19 @@ fn plan(intensity: f64) -> FaultPlan {
             node_start: 0,
             node_end: 15,
         }];
-        // Surviving reports cross a degraded link: a tick of base latency
-        // with jitter, and a chance of duplication or overtaking.
-        plan.link = LinkPlan {
+    }
+    plan
+}
+
+/// Surviving reports cross a degraded link at `intensity > 0`: a tick of
+/// base latency with jitter, and a chance of loss, duplication or
+/// overtaking.
+fn delivery(intensity: f64) -> DeliveryOptions {
+    if intensity <= 0.0 {
+        return DeliveryOptions::none();
+    }
+    DeliveryOptions {
+        link: LinkPlan {
             loss_prob: (0.01 * intensity).min(1.0),
             dup_prob: (0.01 * intensity).min(1.0),
             reorder_prob: (0.02 * intensity).min(1.0),
@@ -47,9 +57,9 @@ fn plan(intensity: f64) -> FaultPlan {
             jitter_ticks: 2,
             seed: 77,
             ..LinkPlan::perfect()
-        };
+        },
+        ..DeliveryOptions::none()
     }
-    plan
 }
 
 /// One intensity level's full accounting, as emitted to the results JSON.
@@ -110,6 +120,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut control = None;
     let mut rows = Vec::new();
     for intensity in [0.0, 0.5, 1.0, 2.0, 4.0] {
+        let config = SimConfig {
+            delivery: delivery(intensity),
+            ..config.clone()
+        };
         let report = run_with_faults(&config, &trace, Resource::Cpu, &plan(intensity))?;
         if intensity == 0.0 {
             control = Some(report.sim.staleness_rmse);

@@ -6,9 +6,9 @@
 # root, the forecast-training hot-path report, which records the
 # per-cluster retrain speedup (fused LSTM kernels + warm-started ARIMA)
 # and the staggered-retraining tick profile in BENCH_forecast.json, and
-# the collection-plane ingest report, which records the end-to-end tick
-# speedup of the flat frame path over the seed per-report path at
-# N=10k/100k in BENCH_ingest.json, and the forecast read-plane query
+# the collection-plane ingest report, which records the end-to-end
+# frame-path tick cost at N=10k/100k in BENCH_ingest.json, and the
+# forecast read-plane query
 # report, which records the cached-table per-read speedup over the
 # recompute path plus multi-reader throughput in BENCH_query.json.
 #

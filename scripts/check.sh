@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the tier-1 build + test suite.
+# Local CI gate: formatting, lints, the release build, the workspace test
+# suite, the benchmark's smoke test, and the bench-binary smoke runs.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,8 +26,15 @@ cargo clippy --all-targets -- -D warnings -D clippy::perf
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# The whole workspace suite: determinism, parity, golden-report, chaos,
+# proptest and lint suites live in the member crates, not the root package.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
+# The benchmark package (its own workspace) re-checks the benchmark loop
+# against Simulation::run at tiny scale on every workload.
+echo "==> perfbench smoke test"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Smoke-run the forecast hot-path benchmark at tiny scale: proves the
 # bench binary stays runnable without spending real timing reps. The
@@ -40,10 +48,9 @@ rm -rf "$SMOKE_DIR"
 
 # Smoke-run the collection-plane ingest benchmark at tiny scale. Besides
 # keeping the binary runnable, this exercises its built-in parity guard:
-# ingest_report exits non-zero unless the frame path's SimReport is
-# bit-identical to the seed per-report path (single-threaded and
-# sharded), so a frame/seed divergence fails the gate here.
-echo "==> bench smoke (ingest_report, tiny scale + frame/seed parity guard)"
+# ingest_report exits non-zero unless the sharded driver's SimReport is
+# bit-identical to the inline driver's, so a divergence fails the gate here.
+echo "==> bench smoke (ingest_report, tiny scale + sharded/inline parity guard)"
 SMOKE_DIR="$(mktemp -d)"
 UTILCAST_BENCH_DIR="$SMOKE_DIR" UTILCAST_NODES=64 UTILCAST_STEPS=2 \
   cargo run --release -q -p utilcast-bench --bin ingest_report
