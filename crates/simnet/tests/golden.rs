@@ -10,13 +10,19 @@
 
 use std::path::PathBuf;
 
-use utilcast_core::compute::ComputeOptions;
-use utilcast_core::transmit::ArqConfig;
+use serde::Serialize;
+use utilcast_clustering::kmeans::{fit_weighted_flat, KMeans, KMeansConfig};
+use utilcast_core::compute::{ComputeOptions, ShardKernel};
+use utilcast_core::pipeline::ModelSpec;
+use utilcast_core::transmit::{ArqConfig, TransmitConfig, TransmitterBank};
 use utilcast_datasets::{presets, Resource, Trace};
+use utilcast_simnet::controller::{Controller, ControllerConfig, ControllerSnapshot};
 use utilcast_simnet::faults::{run_with_faults, FaultPlan, FaultReport, PartitionWindow};
 use utilcast_simnet::link::{DeliveryOptions, LinkPlan};
 use utilcast_simnet::sim::{SimConfig, Simulation};
 use utilcast_simnet::threaded::{run_threaded_supervised, SupervisorOptions};
+use utilcast_simnet::transport::ReportFrame;
+use utilcast_timeseries::lstm::LstmConfig;
 
 fn trace() -> Trace {
     presets::google_like()
@@ -84,6 +90,54 @@ fn faulty(config: &SimConfig, plan: &FaultPlan) -> String {
     serde_json::to_string(&report).unwrap()
 }
 
+/// `n` deterministic `dim`-dimensional points in four loose groups, as one
+/// row-major buffer: no RNG, so the input never moves with a library.
+fn blob_points(n: usize, dim: usize) -> Vec<f64> {
+    let mut flat = Vec::with_capacity(n * dim);
+    for i in 0..n {
+        for d in 0..dim {
+            let centre = ((i % 4) * (d % 3 + 1)) as f64;
+            let jitter = ((i * 7919 + d * 104_729) % 1000) as f64 / 1000.0;
+            flat.push(centre + 0.6 * jitter);
+        }
+    }
+    flat
+}
+
+/// `KMeans::fit_flat` under the default kernel at dimension `dim`.
+fn kmeans_fit(dim: usize) -> String {
+    let flat = blob_points(400, dim);
+    let config = KMeansConfig {
+        k: 5,
+        seed: 3,
+        ..Default::default()
+    };
+    let result = KMeans::new(config).fit_flat(&flat, dim).unwrap();
+    serde_json::to_string(&result).unwrap()
+}
+
+/// `fit_weighted_flat` under the default kernel at dimension `dim`.
+fn kmeans_weighted(dim: usize) -> String {
+    let n = 60;
+    let flat = blob_points(n, dim);
+    let weights: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 + 0.5).collect();
+    let config = KMeansConfig {
+        k: 4,
+        ..Default::default()
+    };
+    let result = fit_weighted_flat(&flat, dim, &weights, &config).unwrap();
+    serde_json::to_string(&result).unwrap()
+}
+
+/// A hidden-4 LSTM with the default kernel.
+fn lstm_model() -> ModelSpec {
+    ModelSpec::Lstm(LstmConfig {
+        hidden: 4,
+        epochs: 2,
+        ..Default::default()
+    })
+}
+
 /// Fault cases whose fixture is compared on every field except
 /// `sim.bytes`: corruption variant 2 used to empty the payload (8 bytes
 /// shorter on the wire) and now writes an out-of-range `-1.0` in place.
@@ -102,8 +156,27 @@ fn cases() -> Vec<(&'static str, String)> {
         },
         ..base()
     };
+    let mini_batch = SimConfig {
+        compute: ComputeOptions {
+            shards: 4,
+            shard_kernel: ShardKernel::MiniBatch,
+            ..Default::default()
+        },
+        ..base()
+    };
+    let lstm = SimConfig {
+        model: lstm_model(),
+        ..base()
+    };
     let plain = SupervisorOptions::default();
     vec![
+        ("kmeans_fit_dim2", kmeans_fit(2)),
+        ("kmeans_fit_dim8", kmeans_fit(8)),
+        ("kmeans_weighted_dim2", kmeans_weighted(2)),
+        ("kmeans_weighted_dim8", kmeans_weighted(8)),
+        ("inline_minibatch_shards4", inline(mini_batch)),
+        ("inline_lstm_hidden4", inline(lstm)),
+        ("controller_lstm_hidden4", lstm_run()),
         ("inline_healthy", inline(base())),
         ("threaded_1", supervised(&base(), 1, &plain)),
         ("threaded_3", supervised(&base(), 3, &plain)),
@@ -204,4 +277,217 @@ fn reports_match_golden_fixtures() {
             assert_eq!(rendered, fixture, "{name} diverged from its fixture");
         }
     }
+}
+
+/// Tick at which the old-checkpoint fixture was cut.
+const CHECKPOINT_AT: usize = 60;
+
+/// What continuing the checkpointed run produces: per tick the applied
+/// report count, the intermediate RMSE and whether a model retrained;
+/// then the bank's queues and send counts, the stored values and the
+/// 4-step forecast after the last tick.
+#[derive(Serialize)]
+struct Continuation {
+    ticks: Vec<(usize, f64, bool)>,
+    queues: Vec<f64>,
+    sent: Vec<u64>,
+    stored: Vec<f64>,
+    forecast: Vec<Vec<f64>>,
+}
+
+/// Drives `controller` and `bank` over ticks `from..to` of the golden
+/// trace: the bank decides against the controller's stored values and
+/// every sending node (every node on tick 0) reports in one frame.
+fn drive_ticks(
+    controller: &mut Controller,
+    bank: &mut TransmitterBank,
+    from: usize,
+    to: usize,
+) -> Vec<(usize, f64, bool)> {
+    let trace = trace();
+    let mut frame = ReportFrame::new(1);
+    let mut decisions = Vec::new();
+    let mut ticks = Vec::new();
+    for t in from..to {
+        let x = trace.snapshot(Resource::Cpu, t).unwrap();
+        let zs = if t == 0 {
+            x.clone()
+        } else {
+            controller.stored().to_vec()
+        };
+        bank.decide_batch_against(&x, &zs, &mut decisions);
+        frame.reset(t);
+        for (node, (&v, &send)) in x.iter().zip(&decisions).enumerate() {
+            if t == 0 || send {
+                frame.push_scalar(node, v);
+            }
+        }
+        let tick = controller
+            .tick_frames(std::slice::from_ref(&frame))
+            .unwrap();
+        ticks.push((tick.reports_applied, tick.intermediate_rmse, tick.retrained));
+    }
+    ticks
+}
+
+/// Renders the end state of a driven run.
+fn render_run(
+    controller: &Controller,
+    bank: &TransmitterBank,
+    ticks: Vec<(usize, f64, bool)>,
+) -> String {
+    let continuation = Continuation {
+        ticks,
+        queues: bank.queues().to_vec(),
+        sent: bank.sent_counts().to_vec(),
+        stored: controller.stored().to_vec(),
+        forecast: controller.forecast(4).unwrap(),
+    };
+    serde_json::to_string(&continuation).unwrap()
+}
+
+/// Continues a checkpointed run to the end of the golden trace.
+fn continue_run(mut controller: Controller, mut bank: TransmitterBank) -> String {
+    let ticks = drive_ticks(
+        &mut controller,
+        &mut bank,
+        CHECKPOINT_AT,
+        trace().num_steps(),
+    );
+    render_run(&controller, &bank, ticks)
+}
+
+/// The whole golden trace through a controller whose clusters forecast
+/// with a hidden-4 LSTM: unlike the `SimReport`, the rendering carries
+/// the model's forecasts.
+fn lstm_run() -> String {
+    let mut controller = Controller::new(ControllerConfig {
+        num_nodes: trace().num_nodes(),
+        k: 3,
+        warmup: 30,
+        retrain_every: 40,
+        model: lstm_model(),
+        ..Default::default()
+    })
+    .unwrap();
+    let mut bank = TransmitterBank::new(TransmitConfig::with_budget(0.3), trace().num_nodes());
+    let ticks = drive_ticks(&mut controller, &mut bank, 0, trace().num_steps());
+    render_run(&controller, &bank, ticks)
+}
+
+fn read_fixture(name: &str) -> String {
+    std::fs::read_to_string(fixture_path(name))
+        .unwrap_or_else(|e| panic!("fixture {name}: {e}"))
+        .trim_end()
+        .to_string()
+}
+
+/// A checkpoint written before the lane-kernel knobs were retired
+/// (`old_checkpoint_*` fixtures) restores, and the restored controller and
+/// bank continue the run bit for bit as the uninterrupted run did. The
+/// checkpoint's compute options select the removed `SimdNorms` k-means
+/// kernel, `Lanes` bank kernel and nested points, and its LSTM the removed
+/// `SimdFlat` kernel at hidden 4: every one of them was bitwise-equal to
+/// the path that replaces it.
+#[test]
+fn old_checkpoint_restores_and_continues_bitwise() {
+    let snapshot: ControllerSnapshot =
+        serde_json::from_str(&read_fixture("old_checkpoint_controller")).unwrap();
+    let bank: TransmitterBank = serde_json::from_str(&read_fixture("old_checkpoint_bank")).unwrap();
+    let controller = Controller::restore(snapshot).unwrap();
+    assert_eq!(
+        continue_run(controller, bank),
+        read_fixture("old_checkpoint_continued"),
+        "restored run diverged from the recorded continuation"
+    );
+}
+
+/// The configuration of the old-checkpoint run, under the lane-kernel
+/// knobs that are about to be retired.
+fn old_kernels_controller() -> Controller {
+    use utilcast_core::compute::Kernel;
+    use utilcast_timeseries::lstm::LstmKernel;
+    Controller::new(ControllerConfig {
+        num_nodes: trace().num_nodes(),
+        k: 3,
+        warmup: 30,
+        retrain_every: 20,
+        model: ModelSpec::Lstm(LstmConfig {
+            hidden: 4,
+            epochs: 2,
+            kernel: LstmKernel::SimdFlat,
+            ..Default::default()
+        }),
+        compute: ComputeOptions {
+            threads: 2,
+            kernel: Kernel::SimdNorms,
+            flat_points: false,
+            shards: 2,
+            shard_kernel: ShardKernel::MiniBatch,
+            bank_kernel: utilcast_core::compute::BankKernel::Lanes,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .unwrap()
+}
+
+/// [`drive_ticks`] through the lane bank kernel.
+fn drive_ticks_lanes(
+    controller: &mut Controller,
+    bank: &mut TransmitterBank,
+    from: usize,
+    to: usize,
+) -> Vec<(usize, f64, bool)> {
+    let trace = trace();
+    let mut frame = ReportFrame::new(1);
+    let (mut decisions, mut errs) = (Vec::new(), Vec::new());
+    let mut ticks = Vec::new();
+    for t in from..to {
+        let x = trace.snapshot(Resource::Cpu, t).unwrap();
+        let zs = if t == 0 {
+            x.clone()
+        } else {
+            controller.stored().to_vec()
+        };
+        bank.decide_batch_lanes_against(&x, &zs, &mut errs, &mut decisions);
+        frame.reset(t);
+        for (node, (&v, &send)) in x.iter().zip(&decisions).enumerate() {
+            if t == 0 || send {
+                frame.push_scalar(node, v);
+            }
+        }
+        let tick = controller
+            .tick_frames(std::slice::from_ref(&frame))
+            .unwrap();
+        ticks.push((tick.reports_applied, tick.intermediate_rmse, tick.retrained));
+    }
+    ticks
+}
+
+#[test]
+#[ignore = "writes the old-checkpoint fixtures; only meaningful while the old kernels exist"]
+fn generate_old_checkpoint_fixtures() {
+    let mut controller = old_kernels_controller();
+    let tx = TransmitConfig::with_budget(0.3);
+    let mut bank = TransmitterBank::new(tx, trace().num_nodes());
+    drive_ticks_lanes(&mut controller, &mut bank, 0, CHECKPOINT_AT);
+    let write = |name: &str, rendered: String| {
+        std::fs::write(fixture_path(name), rendered + "\n").unwrap();
+    };
+    write(
+        "old_checkpoint_controller",
+        serde_json::to_string(&controller.snapshot()).unwrap(),
+    );
+    write("old_checkpoint_bank", serde_json::to_string(&bank).unwrap());
+    let ticks = drive_ticks_lanes(
+        &mut controller,
+        &mut bank,
+        CHECKPOINT_AT,
+        trace().num_steps(),
+    );
+    write(
+        "old_checkpoint_continued",
+        render_run(&controller, &bank, ticks),
+    );
 }
