@@ -13,11 +13,6 @@
 //! `UTILCAST_BENCH_DIR`, default the working directory) so the speedup is
 //! tracked in-repo.
 //!
-//! A third LSTM tier benches `LstmKernel::SimdFlat` (the lane-array gemv
-//! kernels) against `FusedFlat` at hidden widths where the eight-wide
-//! column folds engage, guarded by a parity check: bitwise identity below
-//! lane width, a small relative envelope at lane width.
-//!
 //! Scale knobs: `UTILCAST_STEPS` = successive retrains to simulate
 //! (default 6), `UTILCAST_NODES` = nodes in the tick section (default
 //! 1000). The `scripts/check.sh` smoke mode shrinks both and redirects the
@@ -80,19 +75,6 @@ struct TickStats {
     max_micros: f64,
 }
 
-/// One fused-vs-simd LSTM fit measurement: `FusedFlat` against
-/// `SimdFlat` at a hidden width where the lane `gemv` engages, with a
-/// gemv-dominated GFLOP/s estimate for each path.
-#[derive(Serialize)]
-struct LstmSimdRow {
-    hidden: usize,
-    fused_micros: f64,
-    simd_micros: f64,
-    speedup: f64,
-    fused_gflops: f64,
-    simd_gflops: f64,
-}
-
 /// The full report serialized to `BENCH_forecast.json`.
 #[derive(Serialize)]
 struct ForecastBench {
@@ -105,9 +87,6 @@ struct ForecastBench {
     resolved: ResolvedConfig,
     /// Single LSTM fit: `Exact` kernel vs `FusedFlat`.
     lstm_fit: PathPair,
-    /// Single LSTM fit at lane-width hidden sizes: `FusedFlat` vs
-    /// `SimdFlat` (the vectorized lane tier).
-    lstm_fit_simd: Vec<LstmSimdRow>,
     /// Single auto-ARIMA quick-grid search: cold exhaustive vs
     /// warm-started + pruned.
     arima_grid: PathPair,
@@ -178,96 +157,6 @@ fn lstm_fit_bench(history: &[f64]) -> PathPair {
         time_kernel(LstmKernel::Exact),
         time_kernel(LstmKernel::FusedFlat),
     )
-}
-
-/// `bench_lstm_config` with an explicit hidden width, for the simd tier
-/// where lane engagement depends on `hidden ≥ 8`.
-fn simd_lstm_config(kernel: LstmKernel, hidden: usize, seed: u64) -> LstmConfig {
-    LstmConfig {
-        hidden,
-        ..bench_lstm_config(kernel, seed)
-    }
-}
-
-/// Gemv-dominated flop estimate for one LSTM fit: per epoch, per sliding
-/// window sample, per step, per layer, the forward pass runs two dense
-/// `4h x in` / `4h x h` gemvs and the backward pass a matching
-/// `gemv_t` + `rank1` pair — ≈ `3 · 2 · 4h(in + h)` flops per step-layer.
-fn lstm_fit_flops(c: &LstmConfig, history_len: usize) -> f64 {
-    let samples = history_len.saturating_sub(c.window) as f64;
-    let h = c.hidden as f64;
-    let per_step: f64 = (0..c.layers)
-        .map(|l| {
-            let input = if l == 0 { 1.0 } else { h };
-            3.0 * 2.0 * 4.0 * h * (input + h)
-        })
-        .sum();
-    c.epochs as f64 * samples * c.window as f64 * per_step
-}
-
-/// Parity guard for the simd LSTM tier: below lane width the lane `gemv`
-/// degenerates to the scalar tail, so `SimdFlat` must reproduce
-/// `FusedFlat` bit for bit; at lane width the reassociated column folds
-/// may differ only inside a small relative envelope. Exits non-zero on
-/// violation so CI catches kernel drift.
-fn simd_lstm_parity_guard(history: &[f64]) {
-    let fit = |kernel: LstmKernel, hidden: usize| {
-        let mut model = Lstm::new(simd_lstm_config(kernel, hidden, 7));
-        model.fit(history).expect("parity fit");
-        let fc = model.forecast(history, 8).expect("parity forecast");
-        (model.train_mse().expect("train mse"), fc)
-    };
-    let (mse_f, fc_f) = fit(LstmKernel::FusedFlat, 4);
-    let (mse_s, fc_s) = fit(LstmKernel::SimdFlat, 4);
-    if mse_f.to_bits() != mse_s.to_bits()
-        || fc_f.len() != fc_s.len()
-        || fc_f
-            .iter()
-            .zip(&fc_s)
-            .any(|(a, b)| a.to_bits() != b.to_bits())
-    {
-        eprintln!("PARITY FAILURE: SimdFlat diverged from FusedFlat below lane width");
-        std::process::exit(1);
-    }
-    let (mse_f, fc_f) = fit(LstmKernel::FusedFlat, 32);
-    let (mse_s, fc_s) = fit(LstmKernel::SimdFlat, 32);
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 + 1e-3 * a.abs().max(b.abs());
-    if !close(mse_f, mse_s) || fc_f.iter().zip(&fc_s).any(|(&a, &b)| !close(a, b)) {
-        eprintln!("PARITY FAILURE: SimdFlat outside tolerance of FusedFlat at lane width");
-        std::process::exit(1);
-    }
-    println!("parity guard: SimdFlat bitwise below lane width, within tolerance at lane width");
-}
-
-/// The simd LSTM tier: one fit per hidden width, `FusedFlat` vs
-/// `SimdFlat`, minimum-time over three passes each.
-fn lstm_fit_simd_bench(history: &[f64]) -> Vec<LstmSimdRow> {
-    [12usize, 32]
-        .iter()
-        .map(|&hidden| {
-            let time_kernel = |kernel: LstmKernel| {
-                min_time_micros(3, || {
-                    let mut model = Lstm::new(simd_lstm_config(kernel, hidden, 1));
-                    model.fit(history).expect("lstm fit");
-                    std::hint::black_box(model.train_mse());
-                })
-            };
-            let fused = time_kernel(LstmKernel::FusedFlat);
-            let simd = time_kernel(LstmKernel::SimdFlat);
-            let flops = lstm_fit_flops(
-                &simd_lstm_config(LstmKernel::SimdFlat, hidden, 1),
-                history.len(),
-            );
-            LstmSimdRow {
-                hidden,
-                fused_micros: fused,
-                simd_micros: simd,
-                speedup: fused / simd.max(1e-9),
-                fused_gflops: flops / fused.max(1e-9) * 1e-3,
-                simd_gflops: flops / simd.max(1e-9) * 1e-3,
-            }
-        })
-        .collect()
 }
 
 /// One auto-ARIMA quick-grid search at retrain time: the seed path re-runs
@@ -416,9 +305,7 @@ fn main() {
         "per-cluster retrain + controller tick: seed vs optimized",
     );
 
-    simd_lstm_parity_guard(&history);
     let lstm_fit = lstm_fit_bench(&history);
-    let lstm_fit_simd = lstm_fit_simd_bench(&history);
     let arima_grid = arima_grid_bench(&history);
     let cluster_retrain = cluster_retrain_bench(retrains);
     let tick_synchronized = tick_bench(nodes, false);
@@ -439,29 +326,6 @@ fn main() {
             row("auto-arima grid", &arima_grid),
             row("cluster retrain", &cluster_retrain),
         ],
-    );
-    report::table(
-        &[
-            "hidden",
-            "fused (us)",
-            "simd (us)",
-            "speedup",
-            "fused GFLOP/s",
-            "simd GFLOP/s",
-        ],
-        &lstm_fit_simd
-            .iter()
-            .map(|r| {
-                vec![
-                    r.hidden.to_string(),
-                    format!("{:.0}", r.fused_micros),
-                    format!("{:.0}", r.simd_micros),
-                    format!("{:.2}x", r.speedup),
-                    format!("{:.2}", r.fused_gflops),
-                    format!("{:.2}", r.simd_gflops),
-                ]
-            })
-            .collect::<Vec<_>>(),
     );
     report::table(
         &["tick schedule", "mean (us)", "max (us)"],
@@ -487,7 +351,6 @@ fn main() {
         history_len,
         resolved: ResolvedConfig::capture(&ComputeOptions::default()),
         lstm_fit,
-        lstm_fit_simd,
         arima_grid,
         cluster_retrain,
         tick_synchronized,

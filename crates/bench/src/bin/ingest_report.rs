@@ -15,10 +15,6 @@
 //! - `d = 2` **ingest-plane**: decisions + frame build + metering + flat
 //!   store apply only (the simnet controller is scalar, so the vector
 //!   ingest plane is measured up to the controller boundary).
-//! - **bank-kernel tier**: the stateful batch decide loop with
-//!   `BankKernel::PerRow` vs `BankKernel::Lanes` (phased lane passes over
-//!   the SoA threshold state), guarded by bit-identical decision vectors
-//!   at every tick.
 //!
 //! Results go to `BENCH_ingest.json` (in `UTILCAST_BENCH_DIR`, default the
 //! working directory). Scale knobs: `UTILCAST_NODES` = headline node count
@@ -58,21 +54,6 @@ struct IngestRow {
     frame_micros: f64,
 }
 
-/// One bank-kernel measurement: the per-row batch decide loop against the
-/// phased lane kernel (`BankKernel::Lanes`), both stateful over the same
-/// tick sequence. `lanes_gbps` counts the streamed `x`/`z` rows plus the
-/// per-node threshold state touched each tick.
-#[derive(Serialize)]
-struct BankLanesRow {
-    nodes: usize,
-    width: usize,
-    ticks: usize,
-    per_row_micros: f64,
-    lanes_micros: f64,
-    speedup: f64,
-    lanes_gbps: f64,
-}
-
 /// The full report serialized to `BENCH_ingest.json`.
 #[derive(Serialize)]
 struct IngestBench {
@@ -81,9 +62,6 @@ struct IngestBench {
     /// Compute configuration the benchmark resolved to.
     resolved: ResolvedConfig,
     rows: Vec<IngestRow>,
-    /// Batch-decide kernel tier: `BankKernel::PerRow` vs
-    /// `BankKernel::Lanes`.
-    bank_lanes: Vec<BankLanesRow>,
 }
 
 /// Deterministic synthetic utilization for node `i`, dimension `r`, tick
@@ -198,80 +176,6 @@ fn ingest_plane(xs: &[Vec<f64>], nodes: usize, width: usize, passes: usize) -> f
     total / xs.len() as f64
 }
 
-/// Drives one stateful bank over the tick sequence with the chosen batch
-/// kernel, mirroring the ingest loop's stored-vector update so thresholds
-/// evolve exactly as in production. Returns microseconds per tick.
-fn bank_decide_pass(
-    xs: &[Vec<f64>],
-    nodes: usize,
-    width: usize,
-    lanes: bool,
-    passes: usize,
-) -> f64 {
-    let total = min_time_micros(passes, || {
-        let mut bank = TransmitterBank::with_width(tx_config(), nodes, width);
-        let mut decisions = Vec::with_capacity(nodes);
-        let mut errs = Vec::new();
-        let mut stored = vec![0.0f64; nodes * width];
-        for (t, x) in xs.iter().enumerate() {
-            let zs: &[f64] = if t == 0 { x } else { &stored };
-            if lanes {
-                bank.decide_batch_lanes_against(x, zs, &mut errs, &mut decisions);
-            } else {
-                bank.decide_batch_against(x, zs, &mut decisions);
-            }
-            for (i, &d) in decisions.iter().enumerate() {
-                if t == 0 || d {
-                    stored[i * width..(i + 1) * width]
-                        .copy_from_slice(&x[i * width..(i + 1) * width]);
-                }
-            }
-        }
-        std::hint::black_box(&stored);
-    });
-    total / xs.len() as f64
-}
-
-/// Bank-kernel tier: parity first (both kernels driven in lockstep over
-/// the full tick sequence must emit bit-identical decision vectors — the
-/// lane kernel's phased passes preserve per-row scalar order), then the
-/// timed comparison.
-fn bank_lanes_bench(nodes: usize, width: usize, ticks: usize, passes: usize) -> BankLanesRow {
-    let xs = inputs(nodes, width, ticks);
-    let mut per_row = TransmitterBank::with_width(tx_config(), nodes, width);
-    let mut lanes = TransmitterBank::with_width(tx_config(), nodes, width);
-    let (mut d_p, mut d_l, mut errs) = (Vec::new(), Vec::new(), Vec::new());
-    let mut stored = vec![0.0f64; nodes * width];
-    for (t, x) in xs.iter().enumerate() {
-        let zs: Vec<f64> = if t == 0 { x.clone() } else { stored.clone() };
-        per_row.decide_batch_against(x, &zs, &mut d_p);
-        lanes.decide_batch_lanes_against(x, &zs, &mut errs, &mut d_l);
-        if d_p != d_l {
-            eprintln!("PARITY FAILURE: lane batch decide diverged (n={nodes} w={width} t={t})");
-            std::process::exit(1);
-        }
-        for (i, &d) in d_p.iter().enumerate() {
-            if t == 0 || d {
-                stored[i * width..(i + 1) * width].copy_from_slice(&x[i * width..(i + 1) * width]);
-            }
-        }
-    }
-    let per_row_micros = bank_decide_pass(&xs, nodes, width, false, passes);
-    let lanes_micros = bank_decide_pass(&xs, nodes, width, true, passes);
-    // Streamed bytes per tick: the x and z rows plus one read-modify-write
-    // of the per-node threshold scalar.
-    let bytes = ((2 * nodes * width + 2 * nodes) * 8) as f64;
-    BankLanesRow {
-        nodes,
-        width,
-        ticks,
-        per_row_micros,
-        lanes_micros,
-        speedup: per_row_micros / lanes_micros.max(1e-9),
-        lanes_gbps: bytes / lanes_micros.max(1e-9) * 1e-3,
-    }
-}
-
 /// Hard guard: the sharded driver must produce a bit-identical
 /// `SimReport` to the inline driver before any numbers are reported. Exits
 /// non-zero on divergence.
@@ -351,41 +255,11 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let bank_lanes: Vec<BankLanesRow> = [1usize, 2]
-        .iter()
-        .map(|&w| bank_lanes_bench(headline, w, ticks, passes))
-        .collect();
-    println!("parity guard: BankKernel::Lanes decisions bit-identical to PerRow at every tick");
-    report::table(
-        &[
-            "nodes",
-            "d",
-            "per-row (us/tick)",
-            "lanes (us/tick)",
-            "speedup",
-            "lanes GB/s",
-        ],
-        &bank_lanes
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{}", r.nodes),
-                    format!("{}", r.width),
-                    format!("{:.0}", r.per_row_micros),
-                    format!("{:.0}", r.lanes_micros),
-                    format!("{:.2}x", r.speedup),
-                    format!("{:.2}", r.lanes_gbps),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
     let bench = IngestBench {
         budget: BUDGET,
         k: K,
         resolved: ResolvedConfig::capture(&ComputeOptions::default()),
         rows,
-        bank_lanes,
     };
     let dir = std::env::var("UTILCAST_BENCH_DIR").unwrap_or_else(|_| ".".into());
     let path = format!("{dir}/BENCH_ingest.json");

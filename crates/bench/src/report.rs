@@ -1,4 +1,5 @@
-//! Output helpers: aligned stdout tables plus JSON files under `results/`.
+//! Output helpers: aligned stdout tables plus JSON files under `results/`
+//! (or under `UTILCAST_BENCH_DIR` when that is set).
 
 use std::fs;
 use std::path::PathBuf;
@@ -9,20 +10,16 @@ use utilcast_core::compute::ComputeOptions;
 
 /// The compute configuration a benchmark actually ran under, recorded
 /// uniformly in every `BENCH_*.json` so speedups can be read in context
-/// (what "auto" threads resolved to, which kernels were selected, how many
-/// shards). Construct with [`ResolvedConfig::capture`].
+/// (what "auto" threads resolved to, how many shards, which shard kernel).
+/// Construct with [`ResolvedConfig::capture`].
 #[derive(Debug, Clone, Serialize)]
 pub struct ResolvedConfig {
     /// What `threads: 0` ("auto") resolves to on the benchmarking machine.
     pub resolved_threads: usize,
     /// Shard count of the benchmarked configuration.
     pub shards: usize,
-    /// Lloyd-iteration kernel (`Kernel` enum variant name).
-    pub kernel: String,
     /// Shard kernel (`ShardKernel` enum variant name).
     pub shard_kernel: String,
-    /// Bank batch-decide kernel (`BankKernel` enum variant name).
-    pub bank_kernel: String,
 }
 
 impl ResolvedConfig {
@@ -32,9 +29,7 @@ impl ResolvedConfig {
         ResolvedConfig {
             resolved_threads: resolve_threads(compute.threads),
             shards: compute.shards,
-            kernel: format!("{:?}", compute.kernel),
             shard_kernel: format!("{:?}", compute.shard_kernel),
-            bank_kernel: format!("{:?}", compute.bank_kernel),
         }
     }
 }
@@ -73,12 +68,15 @@ pub fn f(v: f64) -> String {
 }
 
 /// Writes an experiment's machine-readable result to
-/// `results/<experiment>.json` (directory created on demand). Failures are
-/// reported but not fatal — stdout remains the primary artifact.
+/// `results/<experiment>.json`, or to `<experiment>.json` in
+/// `UTILCAST_BENCH_DIR` when that is set (directory created on demand), so
+/// smoke runs leave the committed results alone. Failures are reported but
+/// not fatal — stdout remains the primary artifact.
 pub fn write_json<T: Serialize>(experiment: &str, value: &T) {
-    let dir = PathBuf::from("results");
+    let dir = std::env::var_os("UTILCAST_BENCH_DIR")
+        .map_or_else(|| PathBuf::from("results"), PathBuf::from);
     if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: could not create results/: {e}");
+        eprintln!("warning: could not create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(format!("{experiment}.json"));

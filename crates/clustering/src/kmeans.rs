@@ -17,19 +17,18 @@
 //! * **Warm starts** — [`KMeans::fit_from`] runs a single Lloyd descent from
 //!   caller-supplied centroids (e.g. the previous time step's result), which
 //!   converges in a handful of iterations on slowly drifting data.
-//! * **Three kernels** — [`Kernel::CachedNorms`] (default) flattens points
-//!   and centroids into contiguous buffers allocated once per fit, ranks
-//!   centroids by `‖c‖² − 2·x·c` (the `‖x‖²` term is constant per point),
-//!   and derives the final inertia from the same identity with per-point
-//!   norms cached up front. [`Kernel::SimdNorms`] computes the same scores
-//!   through a transposed centroid buffer whose inner loop streams
-//!   unit-stride lanes shaped for SIMD autovectorization — bit-identical
-//!   to `CachedNorms` by construction, because the per-centroid reduction
-//!   order is preserved (see `utilcast_linalg::simd`). [`Kernel::Exact`]
-//!   is the original implementation — exact squared-distance scans over
-//!   the nested `Vec<Vec<f64>>` representation with per-iteration buffer
-//!   allocation — kept selectable as the benchmark baseline and for
-//!   differential testing.
+//! * **One kernel plus its oracle** — [`Kernel::CachedNorms`] (default)
+//!   flattens points and centroids into contiguous buffers allocated once
+//!   per fit, ranks centroids by `‖c‖² − 2·x·c` (the `‖x‖²` term is
+//!   constant per point), and derives the final inertia from the same
+//!   identity with per-point norms cached up front. Scalar points
+//!   (`dim == 1`) take a sorted-threshold search; wider points take a
+//!   transposed point-block scan shaped for SIMD autovectorization that
+//!   keeps each per-centroid reduction in ascending order (see
+//!   `utilcast_linalg::simd`). [`Kernel::Exact`] is the original
+//!   implementation — exact squared-distance scans over the nested
+//!   `Vec<Vec<f64>>` representation with per-iteration buffer allocation —
+//!   kept as the oracle for differential tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,33 +45,26 @@ const MIN_PARALLEL_POINTS: usize = 256;
 /// Which Lloyd-iteration kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Kernel {
-    /// Reference kernel: exact squared-distance scans over the nested
-    /// point representation, allocating its accumulators on every
-    /// iteration. This is the original (pre-optimization) compute path,
-    /// kept selectable so benchmarks can compare against it and tests can
-    /// cross-check the optimized kernel. Always runs its descent
-    /// sequentially (restart-level parallelism still applies).
+    /// Reference kernel (the test oracle): exact squared-distance scans
+    /// over the nested point representation, allocating its accumulators
+    /// on every iteration. This is the original (pre-optimization)
+    /// compute path, kept selectable so tests can cross-check the
+    /// production kernel. Always runs its descent sequentially
+    /// (restart-level parallelism still applies).
     Exact,
-    /// Optimized kernel (default): points and centroids live in flat
+    /// Production kernel (default): points and centroids live in flat
     /// contiguous buffers allocated once per fit, the assignment step
     /// ranks centroids through cached squared norms, and the final
-    /// inertia reuses the cached per-point norms. Bit-identical at any
-    /// thread count; inertia may differ from [`Kernel::Exact`] in the
-    /// last few ulps because it is accumulated through the norm identity
-    /// (clamped at zero per point) rather than explicit differences.
+    /// inertia reuses the cached per-point norms. For `dim >= 2` the scan
+    /// walks blocks of points against a *transposed* `dim x k` centroid
+    /// buffer, so the inner loops stream unit-stride memory — the shape
+    /// LLVM autovectorizes — while each per-centroid score still gains its
+    /// `dim` terms in ascending order. Bit-identical at any thread count;
+    /// inertia may differ from [`Kernel::Exact`] in the last few ulps
+    /// because it is accumulated through the norm identity (clamped at
+    /// zero per point) rather than explicit differences.
     #[default]
     CachedNorms,
-    /// Vectorized kernel: identical math to [`Kernel::CachedNorms`], but
-    /// the assignment scan walks a *transposed* `dim x k` centroid buffer
-    /// with the dimension loop outermost, so the inner loop updates `k`
-    /// independent accumulators through unit-stride memory — the shape
-    /// LLVM autovectorizes to SIMD (see `utilcast_linalg::simd`). Each
-    /// per-centroid score still accumulates its `dim` terms in ascending
-    /// order, exactly like the scalar dot, so results are **bit-identical
-    /// to `CachedNorms`** on every input, at every thread count (the
-    /// `dim == 1` scalar fast path is shared verbatim). The weighted
-    /// merge descent gains the same transposed scan.
-    SimdNorms,
 }
 
 /// Configuration for [`KMeans`].
@@ -190,8 +182,8 @@ struct Scratch {
     sums: Vec<f64>,
     counts: Vec<usize>,
     centroid_norms: Vec<f64>,
-    /// Transposed `dim x k` centroid buffer for the [`Kernel::SimdNorms`]
-    /// assignment scan (empty unless that kernel runs).
+    /// Transposed `dim x k` centroid buffer for the `dim >= 2`
+    /// assignment scan (empty for scalar points).
     cent_t: Vec<f64>,
     /// Search structure of the scalar assignment fast path (unused unless
     /// `dim == 1`).
@@ -212,42 +204,6 @@ impl Scratch {
             scalar_index: ScalarIndex::default(),
         }
     }
-}
-
-/// Index of and cached-norm score of the centroid minimizing `‖x − c‖²`,
-/// ranked as `‖c‖² − 2·x·c` (the `‖x‖²` term is constant per point). Strict
-/// `<` keeps the lowest index on ties, matching a naive sequential scan.
-/// The `dim == 1` arm is the scalar fast path for the paper's per-resource
-/// mode; it computes exactly the same expression as the general arm.
-// lint:allow(panic-path): fn-scope audit: assignment labels are < k and
-// flat buffers are validated to n * dim by validate_flat/validate_weighted
-// before any kernel runs, so every centroid and point window stays in
-// bounds; exemplar chain: clustering::kmeans::KMeans::fit_from_flat ->
-// clustering::kmeans::KMeans::lloyd_flat -> clustering::kmeans::assign_step
-// -> clustering::kmeans::nearest_by_norms
-fn nearest_by_norms(p: &[f64], centroids: &[f64], norms: &[f64]) -> (usize, f64) {
-    let dim = p.len();
-    let mut best = 0usize;
-    let mut best_score = f64::INFINITY;
-    if dim == 1 {
-        let x = p[0];
-        for (c, (&cv, &norm)) in centroids.iter().zip(norms).enumerate() {
-            let score = norm - 2.0 * (x * cv);
-            if score < best_score {
-                best = c;
-                best_score = score;
-            }
-        }
-    } else {
-        for (c, (centroid, &norm)) in centroids.chunks_exact(dim).zip(norms).enumerate() {
-            let score = norm - 2.0 * utilcast_linalg::kernels::dot(p, centroid);
-            if score < best_score {
-                best = c;
-                best_score = score;
-            }
-        }
-    }
-    (best, best_score)
 }
 
 /// Search structure of the scalar assignment fast path: the distinct
@@ -320,7 +276,8 @@ impl ScalarIndex {
 /// `‖c‖² − 2·x·c` expression the generic path produces, so inertia and
 /// empty-cluster reseeding are unaffected by which path ran. Falls back to
 /// the generic scan when a centroid is non-finite (the sorted order would
-/// be meaningless). Pure per point, so the fan-out is identical at any
+/// be meaningless); a `1 x k` transposed centroid buffer is the centroid
+/// buffer itself. Pure per point, so the fan-out is identical at any
 /// worker count.
 // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
 // flat buffers are validated to n * dim by validate_flat/validate_weighted
@@ -368,70 +325,28 @@ fn assign_step_scalar(
     });
 }
 
-/// Runs the assignment step over the flat point buffer, fanned out over
-/// scoped threads when `workers > 1` and the input is large enough. Every
-/// entry is a pure function of its point, so the result is identical at any
-/// worker count.
-#[allow(clippy::too_many_arguments)]
-fn assign_step(
-    flat: &[f64],
-    dim: usize,
-    centroids: &[f64],
-    norms: &[f64],
-    assignments: &mut [usize],
-    scores: &mut [f64],
-    workers: usize,
-) {
-    let n = assignments.len();
-    if workers <= 1 || n < MIN_PARALLEL_POINTS {
-        for ((p, a), s) in flat
-            .chunks_exact(dim)
-            .zip(assignments.iter_mut())
-            .zip(scores.iter_mut())
-        {
-            (*a, *s) = nearest_by_norms(p, centroids, norms);
-        }
-        return;
-    }
-    let chunk = chunk_len(n, workers);
-    std::thread::scope(|scope| {
-        for ((pts, asg), scs) in flat
-            .chunks(chunk * dim)
-            .zip(assignments.chunks_mut(chunk))
-            .zip(scores.chunks_mut(chunk))
-        {
-            scope.spawn(move || {
-                for ((p, a), s) in pts
-                    .chunks_exact(dim)
-                    .zip(asg.iter_mut())
-                    .zip(scs.iter_mut())
-                {
-                    (*a, *s) = nearest_by_norms(p, centroids, norms);
-                }
-            });
-        }
-    });
-}
-
-/// [`assign_step`] through the [`Kernel::SimdNorms`] point-blocked scan:
-/// points are processed `simd::POINT_BLOCK` at a time — each block is
-/// transposed once, then `utilcast_linalg::simd::norm_scores_block_lanes`
-/// runs a register-blocked mini-GEMM against the `dim x k` transposed
-/// centroid buffer (broadcast centroid value, unit-stride accumulate over
-/// the eight points) and `simd::argmin_block` picks each point's winner.
-/// The sub-block remainder falls back to the per-point
-/// `simd::norm_scores_lanes` scan. Every point×centroid dot still gains
-/// its `dim` terms in ascending order — the same order as
-/// [`nearest_by_norms`]'s scalar dot — and the argmin comparison sequence
-/// is identical, so this step is bit-identical to [`assign_step`] on every
-/// input. Pure per point; the fan-out mirrors [`assign_step`].
+/// The [`Kernel::CachedNorms`] assignment step over the flat point buffer:
+/// each point's nearest centroid and its score `‖c‖² − 2·x·c` (`‖x‖²` is
+/// constant per point and left out). Points are processed
+/// `simd::POINT_BLOCK` at a time — each block is transposed once, then
+/// `utilcast_linalg::simd::norm_scores_block_lanes` runs a
+/// register-blocked mini-GEMM against the `dim x k` transposed centroid
+/// buffer (broadcast centroid value, unit-stride accumulate over the eight
+/// points) and `simd::argmin_block` picks each point's winner. The
+/// sub-block remainder falls back to the per-point
+/// `simd::norm_scores_lanes` scan. Every point×centroid dot gains its
+/// `dim` terms in ascending order, like `kernels::dot`, and the argmin is
+/// a `+∞`-seeded strict-`<` scan, so the lowest index wins ties. Every
+/// entry is a pure function of its point, fanned out over scoped threads
+/// when `workers > 1` and the input is large enough, so the result is
+/// identical at any worker count.
 // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
 // flat buffers are validated to n * dim by validate_flat/validate_weighted
 // before any kernel runs, so every centroid and point window stays in
 // bounds; exemplar chain: clustering::kmeans::KMeans::fit_from_flat ->
 // clustering::kmeans::KMeans::lloyd_flat ->
-// clustering::kmeans::assign_step_simd
-fn assign_step_simd(
+// clustering::kmeans::assign_step
+fn assign_step(
     flat: &[f64],
     dim: usize,
     cent_t: &[f64],
@@ -646,7 +561,7 @@ impl KMeans {
                 nested_for_exact = unflatten(flat, n, dim);
                 &nested_for_exact
             }
-            Kernel::CachedNorms | Kernel::SimdNorms => &[],
+            Kernel::CachedNorms => &[],
         };
         Ok(self.fit_restarts(points, flat, n, dim))
     }
@@ -686,7 +601,7 @@ impl KMeans {
         }
         let result = match self.effective_kernel(dim) {
             Kernel::Exact => self.lloyd_exact(&unflatten(flat, n, dim), init.to_vec()),
-            Kernel::CachedNorms | Kernel::SimdNorms => {
+            Kernel::CachedNorms => {
                 let init_flat = flatten(init, cfg.k, dim);
                 self.lloyd_flat(flat, n, dim, init_flat, resolve_threads(cfg.threads))
             }
@@ -795,7 +710,7 @@ impl KMeans {
         }
         let result = match self.effective_kernel(dim) {
             Kernel::Exact => self.lloyd_exact(points, init.to_vec()),
-            Kernel::CachedNorms | Kernel::SimdNorms => {
+            Kernel::CachedNorms => {
                 let n = points.len();
                 let flat = flatten(points, n, dim);
                 let init_flat = flatten(init, cfg.k, dim);
@@ -826,7 +741,7 @@ impl KMeans {
         };
         match self.effective_kernel(dim) {
             Kernel::Exact => self.lloyd_exact(points, unflatten(&init, self.config.k, dim)),
-            Kernel::CachedNorms | Kernel::SimdNorms => self.lloyd_flat(flat, n, dim, init, workers),
+            Kernel::CachedNorms => self.lloyd_flat(flat, n, dim, init, workers),
         }
     }
 
@@ -851,16 +766,14 @@ impl KMeans {
     ) -> KMeansResult {
         let cfg = &self.config;
         let k = cfg.k;
-        let kernel = self.effective_kernel(dim);
         let mut scratch = Scratch::new(n, k, dim);
         for (pn, p) in scratch.point_norms.iter_mut().zip(flat.chunks_exact(dim)) {
             *pn = utilcast_linalg::kernels::sq_norm(p);
         }
         // One assignment dispatch for both the iteration loop and the final
-        // pass: the `dim == 1` scalar fast path is shared by both flat
-        // kernels (it is already branch-free and lane-friendly), the
-        // transposed SimdNorms scan covers `dim >= 2`, and every arm
-        // produces bit-identical assignments and scores.
+        // pass: the `dim == 1` scalar fast path (already branch-free and
+        // lane-friendly) and the transposed block scan for `dim >= 2`
+        // produce the same scores for the same centroids.
         let run_assign = |centroids: &[f64], scratch: &mut Scratch| {
             refresh_norms(centroids, dim, &mut scratch.centroid_norms);
             if dim == 1 {
@@ -873,22 +786,12 @@ impl KMeans {
                     &mut scratch.scores,
                     workers,
                 );
-            } else if kernel == Kernel::SimdNorms {
-                simd::transpose_centroids(centroids, k, dim, &mut scratch.cent_t);
-                assign_step_simd(
-                    flat,
-                    dim,
-                    &scratch.cent_t,
-                    &scratch.centroid_norms,
-                    &mut scratch.assignments,
-                    &mut scratch.scores,
-                    workers,
-                );
             } else {
+                simd::transpose_centroids(centroids, k, dim, &mut scratch.cent_t);
                 assign_step(
                     flat,
                     dim,
-                    centroids,
+                    &scratch.cent_t,
                     &scratch.centroid_norms,
                     &mut scratch.assignments,
                     &mut scratch.scores,
@@ -1301,11 +1204,11 @@ fn weighted_maxmin_seed(flat: &[f64], n: usize, dim: usize, weights: &[f64], k: 
 /// structure: partition fixed-point stop, farthest-point reseed of
 /// weightless clusters, movement tolerance, final assignment pass.
 ///
-/// [`Kernel::SimdNorms`] swaps the per-point distance scan for the
-/// transposed lane scan (`sq_dist_scores_lanes`), which accumulates each
-/// per-centroid distance in the same ascending-dimension order as
-/// [`sq_dist`] and compares winners in the same sequence — bit-identical
-/// results. The other kernels take the scalar scan.
+/// The assignment scan walks a transposed centroid buffer
+/// (`sq_dist_scores_lanes`), which accumulates each per-centroid distance
+/// in the same ascending-dimension order as [`sq_dist`]; the winner is the
+/// first strict minimum. The merge problem is tiny, so it has this one
+/// kernel whatever [`KMeansConfig::kernel`] says.
 #[allow(clippy::too_many_arguments)]
 // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
 // flat buffers are validated to n * dim by validate_flat/validate_weighted
@@ -1321,50 +1224,30 @@ fn lloyd_weighted(
     k: usize,
     max_iters: usize,
     tol: f64,
-    kernel: Kernel,
 ) -> KMeansResult {
     let pt = |i: usize| &flat[i * dim..(i + 1) * dim];
     let mut assignments = vec![0usize; n];
     let mut prev = vec![usize::MAX; n];
     let mut sums = vec![0.0f64; k * dim];
     let mut mass = vec![0.0f64; k];
-    let lanes = kernel == Kernel::SimdNorms;
     let mut cent_t = Vec::new();
-    let mut dists = vec![0.0f64; if lanes { k } else { 0 }];
-    // Assignment scan shared by the iteration loop and the final pass. The
-    // scalar arm seeds the running best with centroid 0's distance and
-    // compares the rest with strict `<`; the lane arm computes all k
-    // distances first (bitwise equal per centroid) and replays exactly
-    // that comparison sequence.
+    let mut dists = vec![0.0f64; k];
+    // Assignment scan shared by the iteration loop and the final pass:
+    // all k distances first, then a running best seeded with centroid 0's
+    // distance and replaced only on a strict `<`.
     let mut scan = |centroids: &[f64], assignments: &mut [usize], cent_t: &mut Vec<f64>| {
-        if lanes {
-            simd::transpose_centroids(centroids, k, dim, cent_t);
-            for (i, a) in assignments.iter_mut().enumerate() {
-                simd::sq_dist_scores_lanes(pt(i), cent_t, k, &mut dists);
-                let mut best = 0usize;
-                let mut best_d = dists[0];
-                for (c, &d) in dists.iter().enumerate().skip(1) {
-                    if d < best_d {
-                        best = c;
-                        best_d = d;
-                    }
+        simd::transpose_centroids(centroids, k, dim, cent_t);
+        for (i, a) in assignments.iter_mut().enumerate() {
+            simd::sq_dist_scores_lanes(pt(i), cent_t, k, &mut dists);
+            let mut best = 0usize;
+            let mut best_d = dists[0];
+            for (c, &d) in dists.iter().enumerate().skip(1) {
+                if d < best_d {
+                    best = c;
+                    best_d = d;
                 }
-                *a = best;
             }
-        } else {
-            for (i, a) in assignments.iter_mut().enumerate() {
-                let p = pt(i);
-                let mut best = 0usize;
-                let mut best_d = sq_dist(p, &centroids[..dim]);
-                for (c, centroid) in centroids.chunks_exact(dim).enumerate().skip(1) {
-                    let d = sq_dist(p, centroid);
-                    if d < best_d {
-                        best = c;
-                        best_d = d;
-                    }
-                }
-                *a = best;
-            }
+            *a = best;
         }
     };
     let mut iterations = 0;
@@ -1472,7 +1355,6 @@ pub fn fit_weighted_flat(
         config.k,
         config.max_iters,
         config.tol,
-        config.kernel,
     ))
 }
 
@@ -1519,7 +1401,6 @@ pub fn fit_weighted_from_flat(
         config.k,
         config.max_iters,
         config.tol,
-        config.kernel,
     ))
 }
 
@@ -1706,12 +1587,6 @@ mod tests {
         for (a, b) in exact.centroids.iter().zip(&fast.centroids) {
             assert!(sq_dist(a, b) < 1e-18);
         }
-        // The vectorized tier shares CachedNorms' score formula and
-        // reduction order, so it must agree with Exact on assignments and
-        // with CachedNorms bit for bit.
-        let simd = mk(Kernel::SimdNorms);
-        assert_eq!(exact.assignments, simd.assignments);
-        assert_eq!(fast, simd, "SimdNorms diverged from CachedNorms");
     }
 
     #[test]

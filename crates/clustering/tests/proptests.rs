@@ -77,48 +77,53 @@ proptest! {
         prop_assert_eq!(sequential, parallel);
     }
 
-    /// The vectorized [`Kernel::SimdNorms`] point-blocked scan must be
-    /// bit-identical to the default [`Kernel::CachedNorms`] path on any
-    /// input and at any thread count: every point×centroid dot accumulates
-    /// in the same ascending-dimension order and the argmin comparison
-    /// sequence is unchanged, so the whole fit (assignments, centroids,
-    /// inertia, iterations) is an exact match.
+    /// The production `dim >= 2` assignment scan (the transposed
+    /// point-block scan of [`Kernel::CachedNorms`]) lands on the same
+    /// clustering as the [`Kernel::Exact`] oracle on well-separated blobs,
+    /// and is bit-identical at every thread count. The dimension range
+    /// covers full eight-point blocks and the per-point remainder.
     #[test]
-    fn kmeans_simd_kernel_bitwise(
+    fn kmeans_block_scan_matches_exact_and_thread_counts(
         seed in 0u64..30,
-        threads in 1usize..5,
-        raw in proptest::collection::vec(0.0f64..1.0, 16..60),
+        dim in 2usize..10,
+        threads in 2usize..5,
+        noise in proptest::collection::vec(0.0f64..1.0, 300 * 9),
     ) {
-        let points: Vec<Vec<f64>> = raw.chunks_exact(2).map(|c| c.to_vec()).collect();
-        let cached = KMeans::new(KMeansConfig { k: 3, seed, threads: 1, ..Default::default() })
-            .fit(&points)
-            .unwrap();
-        let simd = KMeans::new(KMeansConfig {
-            k: 3,
-            seed,
-            threads,
-            kernel: Kernel::SimdNorms,
-            ..Default::default()
-        })
-        .fit(&points)
-        .unwrap();
-        prop_assert_eq!(cached, simd);
+        let n = 300;
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..dim).map(|d| (i % 3) as f64 * 10.0 + noise[i * dim + d]).collect())
+            .collect();
+        let fit = |kernel: Kernel, threads: usize| {
+            KMeans::new(KMeansConfig { k: 3, seed, threads, kernel, ..Default::default() })
+                .fit(&points)
+                .unwrap()
+        };
+        let fast = fit(Kernel::CachedNorms, 1);
+        prop_assert_eq!(&fast, &fit(Kernel::CachedNorms, threads));
+        let exact = fit(Kernel::Exact, 1);
+        prop_assert_eq!(&fast.assignments, &exact.assignments);
+        prop_assert!((fast.inertia - exact.inertia).abs() <= 1e-9 * (1.0 + exact.inertia));
+        for (a, b) in fast.centroids.iter().zip(&exact.centroids) {
+            prop_assert!(sq_dist(a, b) < 1e-18);
+        }
     }
 
     /// The weighted Lloyd descent (the hierarchical controller's merge
-    /// primitive) must also be kernel-invariant bit for bit.
+    /// primitive) scans a transposed centroid buffer; its final labels
+    /// must be exactly what the scalar oracle scan [`nearest_centroid`]
+    /// picks against the returned centroids, ties to the lowest index.
     #[test]
-    fn weighted_kmeans_simd_kernel_bitwise(
-        raw in proptest::collection::vec(0.0f64..1.0, 16..48),
-        weights_raw in proptest::collection::vec(0.1f64..5.0, 24),
+    fn weighted_kmeans_scan_matches_exact_nearest(
+        dim in 2usize..10,
+        raw in proptest::collection::vec(0.0f64..1.0, 24 * 9),
+        weights in proptest::collection::vec(0.1f64..5.0, 24),
     ) {
-        let n = (raw.len() / 2).min(weights_raw.len());
-        let flat = &raw[..n * 2];
-        let weights = &weights_raw[..n];
-        let config = |kernel: Kernel| KMeansConfig { k: 3, kernel, ..Default::default() };
-        let cached = fit_weighted_flat(flat, 2, weights, &config(Kernel::CachedNorms)).unwrap();
-        let simd = fit_weighted_flat(flat, 2, weights, &config(Kernel::SimdNorms)).unwrap();
-        prop_assert_eq!(cached, simd);
+        let flat = &raw[..24 * dim];
+        let res = fit_weighted_flat(flat, dim, &weights, &KMeansConfig { k: 3, ..Default::default() })
+            .unwrap();
+        for (i, p) in flat.chunks_exact(dim).enumerate() {
+            prop_assert_eq!(res.assignments[i], nearest_centroid(p, &res.centroids).0);
+        }
     }
 
     /// Inertia must equal the sum of squared distances to assigned centroids.

@@ -42,7 +42,7 @@ use utilcast_clustering::similarity::{intersection_similarity, jaccard_similarit
 use utilcast_clustering::ClusteringError;
 use utilcast_linalg::simd;
 
-use crate::compute::{ComputeOptions, Kernel, ShardKernel};
+use crate::compute::{ComputeOptions, ShardKernel};
 
 /// Rotation period of the mini-batch shard kernel: each tick re-assigns
 /// the shard points whose local index `i` satisfies
@@ -61,13 +61,10 @@ const MINI_BATCH_ROTATION: usize = 8;
 /// a later rotation. Fully sequential, no RNG — bit-identical wherever
 /// it runs.
 ///
-/// Under [`Kernel::SimdNorms`] the rotating re-assignment scans a
-/// transposed `dim x k` centroid buffer through
-/// `utilcast_linalg::simd::sq_dist_scores_lanes`, which accumulates each
-/// per-centroid distance in the same ascending-dimension order as the
-/// scalar zip-sum and replays the same running-best comparison — results
-/// are bit-identical to the scalar scan.
-#[allow(clippy::too_many_arguments)]
+/// The rotating re-assignment scans a transposed `dim x k` centroid buffer
+/// through `utilcast_linalg::simd::sq_dist_scores_lanes`, which
+/// accumulates each per-centroid distance in ascending-dimension order,
+/// and takes the first strict minimum.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
 // contracts; the overflow-checked debug-assert CI job backstops the proof
@@ -82,42 +79,21 @@ fn mini_batch_step(
     warm: &[Vec<f64>],
     prev_assign: &[usize],
     t: usize,
-    kernel: Kernel,
 ) -> KMeansResult {
     let mut assignments = prev_assign.to_vec();
-    let lanes = kernel == Kernel::SimdNorms;
-    let mut cent_t = Vec::new();
-    let mut dists = Vec::new();
-    if lanes {
-        cent_t.resize(k * dim, 0.0);
-        for (j, c) in warm.iter().enumerate() {
-            for (d, &v) in c.iter().enumerate() {
-                cent_t[d * k + j] = v;
-            }
+    let mut cent_t = vec![0.0f64; k * dim];
+    for (j, c) in warm.iter().enumerate() {
+        for (d, &v) in c.iter().enumerate() {
+            cent_t[d * k + j] = v;
         }
-        dists.resize(k, 0.0);
     }
+    let mut dists = vec![0.0f64; k];
     // lint:allow(panic-path): MINI_BATCH_ROTATION is a nonzero const (8);
     // chain DynamicClusterer::step -> hierarchical_fit -> mini_batch_step
     let mut i = (MINI_BATCH_ROTATION - t % MINI_BATCH_ROTATION) % MINI_BATCH_ROTATION;
     while i < n {
-        let x = &flat[i * dim..(i + 1) * dim];
-        let best = if lanes {
-            simd::sq_dist_scores_lanes(x, &cent_t, k, &mut dists);
-            simd::argmin(&dists)
-        } else {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (j, c) in warm.iter().enumerate() {
-                let d: f64 = x.iter().zip(c.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
-                if d < best_d {
-                    best_d = d;
-                    best = j;
-                }
-            }
-            best
-        };
-        assignments[i] = best;
+        simd::sq_dist_scores_lanes(&flat[i * dim..(i + 1) * dim], &cent_t, k, &mut dists);
+        assignments[i] = simd::argmin(&dists);
         i += MINI_BATCH_ROTATION;
     }
     let mut sums = vec![0.0f64; k * dim];
@@ -437,7 +413,6 @@ impl DynamicClusterer {
                         init,
                         prev,
                         self.t,
-                        compute.kernel,
                     ));
                 }
             }
@@ -447,7 +422,6 @@ impl DynamicClusterer {
                 n_init: self.config.n_init,
                 seed: shard_seed(self.config.seed, s as u64).wrapping_add(self.t as u64),
                 threads: 1,
-                kernel: compute.kernel,
                 ..Default::default()
             });
             match warm {
@@ -519,7 +493,6 @@ impl DynamicClusterer {
             k,
             max_iters: self.config.max_iters,
             seed: self.config.seed.wrapping_add(self.t as u64),
-            kernel: compute.kernel,
             ..Default::default()
         };
         let global_warm = if warm_ok {
@@ -575,7 +548,6 @@ impl DynamicClusterer {
             n_init: self.config.n_init,
             seed: self.config.seed.wrapping_add(self.t as u64),
             threads: compute.threads,
-            kernel: compute.kernel,
             ..Default::default()
         });
         let cold_due =

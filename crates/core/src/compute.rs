@@ -15,13 +15,6 @@
 //!   meaningful at all) makes the previous centroids near-converged, so a
 //!   single short Lloyd descent replaces `n_init` cold restarts. A periodic
 //!   cold re-seed bounds how long a poor local optimum can persist.
-//! * `kernel` — the Lloyd-iteration kernel: the optimized flat
-//!   cached-norm kernel (default), its SIMD-shaped transposed-scan twin,
-//!   or the original nested exact-distance reference kernel (see
-//!   [`Kernel`]).
-//! * `bank_kernel` — the collection plane's batch-decide kernel: the seed
-//!   per-row loop (default) or the phased lane sweeps (see
-//!   [`BankKernel`]); both bit-identical.
 //! * `shards` / `shard_kernel` — the hierarchical two-level controller:
 //!   with `shards > 1` each deterministic contiguous node shard clusters
 //!   locally (in parallel across shards), and the count-weighted shard
@@ -30,17 +23,20 @@
 //!   clustering cost from one `O(N·K·d)` descent into `shards`
 //!   independent `O((N/shards)·K·d)` descents plus an `O(shards·K²·d)`
 //!   merge — the scaling lever for `N` in the millions.
+//!
+//! Every layer runs one production kernel: the cached-norm k-means
+//! ([`Kernel::CachedNorms`](utilcast_clustering::kmeans::Kernel)), the
+//! per-row [`TransmitterBank`](crate::transmit::TransmitterBank) sweep and
+//! the fused flat LSTM. Their reference oracles are selected by tests
+//! directly on the layer, not through these options.
 
 use serde::{Deserialize, Serialize};
 
-pub use crate::transmit::BankKernel;
-pub use utilcast_clustering::kmeans::Kernel;
-
 /// Per-shard Lloyd kernel for the hierarchical (two-level) controller,
 /// selected by [`ComputeOptions::shard_kernel`] and only consulted when
-/// [`ComputeOptions::shards`] `> 1`. Follows the [`Kernel`] enum pattern:
-/// a full reference mode plus an incremental optimized mode, both
-/// deterministic at any thread count.
+/// [`ComputeOptions::shards`] `> 1`: a full mode plus an incremental
+/// mode, both deterministic at any thread count. The two give different
+/// results, so this is a choice of schedule rather than of kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ShardKernel {
     /// Run each shard's k-means to convergence every step (warm-started
@@ -73,9 +69,6 @@ pub struct ComputeOptions {
     /// default of 288 re-seeds once per day at the paper's 5-minute
     /// cadence.
     pub cold_reseed_every: usize,
-    /// Lloyd-iteration kernel for the per-step k-means (default: the
-    /// optimized flat cached-norm kernel).
-    pub kernel: Kernel,
     /// Phase-offset each cluster's retraining schedule by
     /// `j · retrain_every / K` steps so at most ~one model refits per tick
     /// instead of all `K` spiking on the same tick (default `false`).
@@ -83,13 +76,6 @@ pub struct ComputeOptions {
     /// thread count; it changes *when* each model retrains, so reports
     /// differ from the unstaggered schedule by construction.
     pub retrain_stagger: bool,
-    /// Feed the per-step k-means through the flat strided-points entry
-    /// point, recycling one buffer per step (default `true`). `false`
-    /// selects the reference path — a fresh per-tick `Vec<Vec<f64>>` that
-    /// the clusterer re-flattens internally — which is bit-identical but
-    /// allocates per node per step; kept selectable as the benchmark
-    /// baseline.
-    pub flat_points: bool,
     /// Mask nodes whose staleness age (ticks since their freshest admitted
     /// measurement) exceeds this limit: before clustering/retraining their
     /// stored value is imputed with the mean of the fresh nodes, so stale
@@ -112,14 +98,6 @@ pub struct ComputeOptions {
     /// [`ShardKernel::Full`]; ignored by the single-level path).
     #[serde(default)]
     pub shard_kernel: ShardKernel,
-    /// Batch-decide kernel for the collection plane's
-    /// [`TransmitterBank`](crate::transmit::TransmitterBank) sweeps
-    /// (default [`BankKernel::PerRow`], the seed loop shape). Both kernels
-    /// are bit-identical; [`BankKernel::Lanes`] runs the phased batched
-    /// passes shaped for SIMD. Absent from old checkpoints, which
-    /// deserialize to the default.
-    #[serde(default)]
-    pub bank_kernel: BankKernel,
     /// Maximum horizon (steps ahead) precomputed into the cached
     /// [`ForecastTable`](crate::table::ForecastTable) — the read plane
     /// answers point queries for horizon indices `0..max_query_horizon`
@@ -141,13 +119,10 @@ impl Default for ComputeOptions {
             threads: 1,
             warm_start: true,
             cold_reseed_every: 288,
-            kernel: Kernel::CachedNorms,
             retrain_stagger: false,
-            flat_points: true,
             staleness_age_limit: 0,
             shards: 1,
             shard_kernel: ShardKernel::Full,
-            bank_kernel: BankKernel::PerRow,
             max_query_horizon: DEFAULT_QUERY_HORIZON,
         }
     }
@@ -165,22 +140,18 @@ impl ComputeOptions {
             self.max_query_horizon
         }
     }
-    /// The compute path of the original implementation — fully sequential,
-    /// cold k-means++ restarts every step, exact-distance reference kernel
-    /// with per-iteration allocation, synchronized retrains — used as the
-    /// benchmark baseline.
+    /// The compute schedule of the original implementation — fully
+    /// sequential, cold k-means++ restarts every step, synchronized
+    /// retrains — used as the benchmark baseline.
     pub fn baseline() -> Self {
         ComputeOptions {
             threads: 1,
             warm_start: false,
             cold_reseed_every: 0,
-            kernel: Kernel::Exact,
             retrain_stagger: false,
-            flat_points: false,
             staleness_age_limit: 0,
             shards: 1,
             shard_kernel: ShardKernel::Full,
-            bank_kernel: BankKernel::PerRow,
             max_query_horizon: DEFAULT_QUERY_HORIZON,
         }
     }
@@ -196,13 +167,10 @@ mod tests {
         assert_eq!(c.threads, 1);
         assert!(c.warm_start);
         assert_eq!(c.cold_reseed_every, 288);
-        assert_eq!(c.kernel, Kernel::CachedNorms);
         assert!(!c.retrain_stagger);
-        assert!(c.flat_points);
         assert_eq!(c.staleness_age_limit, 0, "masking is off by default");
         assert_eq!(c.shards, 1, "single-level clustering by default");
         assert_eq!(c.shard_kernel, ShardKernel::Full);
-        assert_eq!(c.bank_kernel, BankKernel::PerRow);
         assert_eq!(c.max_query_horizon, 16);
     }
 
@@ -211,12 +179,9 @@ mod tests {
         let c = ComputeOptions::baseline();
         assert_eq!(c.threads, 1);
         assert!(!c.warm_start);
-        assert_eq!(c.kernel, Kernel::Exact);
         assert!(!c.retrain_stagger);
-        assert!(!c.flat_points);
         assert_eq!(c.shards, 1);
         assert_eq!(c.shard_kernel, ShardKernel::Full);
-        assert_eq!(c.bank_kernel, BankKernel::PerRow);
         assert_eq!(
             c.max_query_horizon, 16,
             "read-plane depth does not belong to the seed contract"
@@ -227,20 +192,16 @@ mod tests {
     fn snapshots_without_shard_fields_deserialize_to_single_level() {
         // Checkpoints written before the hierarchical tier existed carry
         // no shard fields; they must restore onto the single-level path
-        // (`shards == 0` is treated as `<= 1` everywhere).
+        // (`shards == 0` is treated as `<= 1` everywhere). Their `kernel`
+        // field names a retired knob and is ignored.
         let json = r#"{
             "threads": 1, "warm_start": true, "cold_reseed_every": 288,
             "kernel": "CachedNorms", "retrain_stagger": false,
-            "flat_points": true, "staleness_age_limit": 0
+            "staleness_age_limit": 0
         }"#;
         let c: ComputeOptions = serde_json::from_str(json).unwrap();
         assert!(c.shards <= 1);
         assert_eq!(c.shard_kernel, ShardKernel::Full);
-        assert_eq!(
-            c.bank_kernel,
-            BankKernel::PerRow,
-            "old checkpoints take the seed bank kernel"
-        );
         assert_eq!(c.max_query_horizon, 0, "field absent from old JSON");
         assert_eq!(
             c.query_horizon(),

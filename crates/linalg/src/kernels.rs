@@ -32,7 +32,7 @@ pub fn sigmoid(x: f64) -> f64 {
 /// the workspace (k-means cached-norm scores, similarity measures, LSTM gemv
 /// rows): terms are added one at a time, left to right, starting from `0.0`,
 /// with no FMA. Lane kernels in [`crate::simd`] cite this exact reduction
-/// order in their bitwise/tolerance contracts.
+/// order in their bitwise contracts.
 ///
 /// Trailing elements of the longer slice are ignored (zip semantics), which
 /// lets callers pass a strided row prefix.

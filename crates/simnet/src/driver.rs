@@ -20,7 +20,6 @@
 //! admission is per node and tick, so the executor never changes a
 //! result.
 
-use utilcast_core::compute::BankKernel;
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
 use utilcast_datasets::{Resource, Trace};
@@ -65,24 +64,13 @@ pub(crate) fn validate(config: &SimConfig) -> Result<(), SimError> {
     config.delivery.validate()
 }
 
-/// Batch-decide scratch: the kernel choice plus the decision and
-/// lane-error buffers it writes into, recycled across slots.
-#[derive(Debug)]
+/// Batch-decide scratch: the decision buffer, recycled across slots.
+#[derive(Debug, Default)]
 pub(crate) struct Decider {
-    kernel: BankKernel,
     decisions: Vec<bool>,
-    errs: Vec<f64>,
 }
 
 impl Decider {
-    pub(crate) fn new(kernel: BankKernel) -> Self {
-        Decider {
-            kernel,
-            decisions: Vec::new(),
-            errs: Vec::new(),
-        }
-    }
-
     /// Steps `bank` (nodes `lo..lo + xs.len()`) for slot `t` against the
     /// stored view `zs` and rebuilds `frame` from the nodes that send. On
     /// the bootstrap slot every node reports; its clock still advances.
@@ -95,12 +83,7 @@ impl Decider {
         zs: &[f64],
         frame: &mut ReportFrame,
     ) {
-        match self.kernel {
-            BankKernel::PerRow => bank.decide_batch_against(xs, zs, &mut self.decisions),
-            BankKernel::Lanes => {
-                bank.decide_batch_lanes_against(xs, zs, &mut self.errs, &mut self.decisions)
-            }
-        }
+        bank.decide_batch_against(xs, zs, &mut self.decisions);
         frame.reset(t);
         for (off, (&x, &send)) in xs.iter().zip(&self.decisions).enumerate() {
             if t == 0 || send {
@@ -156,11 +139,10 @@ pub(crate) fn drive(
         v0: config.v0,
         gamma: config.gamma,
     };
-    let kernel = config.compute.bank_kernel;
     let mut nodes = match executor {
-        Executor::Inline => Nodes::Inline(TransmitterBank::new(tx, n), Decider::new(kernel)),
+        Executor::Inline => Nodes::Inline(TransmitterBank::new(tx, n), Decider::default()),
         Executor::Workers(shards, options) => {
-            Nodes::Workers(Workers::spawn(tx, n, shards, kernel, options)?)
+            Nodes::Workers(Workers::spawn(tx, n, shards, options)?)
         }
     };
     let sources = match &nodes {

@@ -21,7 +21,6 @@
 use crossbeam::channel::{self, Receiver, Sender};
 use std::any::Any;
 use std::thread::{self, JoinHandle};
-use utilcast_core::compute::BankKernel;
 use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
 use utilcast_datasets::{Resource, Trace};
 
@@ -71,14 +70,8 @@ struct Job {
 }
 
 /// The worker thread body for the shard starting at node `lo`.
-fn worker_loop(
-    lo: usize,
-    kernel: BankKernel,
-    jobs: Receiver<Job>,
-    done: Sender<Job>,
-    panic_at: Option<usize>,
-) {
-    let mut decider = Decider::new(kernel);
+fn worker_loop(lo: usize, jobs: Receiver<Job>, done: Sender<Job>, panic_at: Option<usize>) {
+    let mut decider = Decider::default();
     while let Ok(mut job) = jobs.recv() {
         if panic_at == Some(job.t) {
             // lint:allow(panic): injected fault for the chaos suite;
@@ -119,16 +112,10 @@ struct Worker {
 }
 
 impl Worker {
-    fn spawn(
-        lo: usize,
-        hi: usize,
-        bank: TransmitterBank,
-        kernel: BankKernel,
-        panic_at: Option<usize>,
-    ) -> Self {
+    fn spawn(lo: usize, hi: usize, bank: TransmitterBank, panic_at: Option<usize>) -> Self {
         let (jobs, job_rx) = channel::unbounded::<Job>();
         let (done_tx, done) = channel::unbounded::<Job>();
-        let handle = thread::spawn(move || worker_loop(lo, kernel, job_rx, done_tx, panic_at));
+        let handle = thread::spawn(move || worker_loop(lo, job_rx, done_tx, panic_at));
         Worker {
             lo,
             hi,
@@ -159,7 +146,6 @@ impl Worker {
 
 /// The supervised worker executor: one worker per contiguous shard.
 pub(crate) struct Workers {
-    kernel: BankKernel,
     respawns_left: usize,
     workers: Vec<Worker>,
 }
@@ -175,7 +161,6 @@ impl Workers {
         tx: TransmitConfig,
         n: usize,
         shards: usize,
-        kernel: BankKernel,
         options: &SupervisorOptions,
     ) -> Result<Self, SimError> {
         if shards == 0 {
@@ -191,11 +176,10 @@ impl Workers {
                 let panic_at = options
                     .worker_panic_at
                     .and_then(|(ps, pt)| (ps == s).then_some(pt));
-                Worker::spawn(lo, hi, TransmitterBank::new(tx, hi - lo), kernel, panic_at)
+                Worker::spawn(lo, hi, TransmitterBank::new(tx, hi - lo), panic_at)
             })
             .collect();
         Ok(Workers {
-            kernel,
             respawns_left: options.max_respawns,
             workers,
         })
@@ -240,7 +224,7 @@ impl Workers {
                 }
                 self.respawns_left -= 1;
                 let bank = worker.bank.clone();
-                *worker = Worker::spawn(worker.lo, worker.hi, bank, self.kernel, None);
+                *worker = Worker::spawn(worker.lo, worker.hi, bank, None);
                 worker.send(t, x, zs, ReportFrame::new(1));
             }
         }

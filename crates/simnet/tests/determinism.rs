@@ -3,19 +3,15 @@
 //! retraining must be invisible in the results — bit-identical
 //! [`SimReport`]s at any thread count, with and without periodic cold
 //! re-seeding, and bit-identical snapshot/restore replay while the
-//! concurrent paths are active. The ISSUE 9 kernel matrix runs the same
-//! stack with each vectorized kernel (`Kernel::SimdNorms`,
-//! `BankKernel::Lanes`, `LstmKernel::SimdFlat`) forced.
+//! concurrent paths are active.
 
 use proptest::prelude::*;
-use utilcast_core::compute::{BankKernel, ComputeOptions, Kernel, ShardKernel};
-use utilcast_core::pipeline::ModelSpec;
+use utilcast_core::compute::{ComputeOptions, ShardKernel};
 use utilcast_datasets::{presets, Resource, Trace};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
 use utilcast_simnet::sim::{SimConfig, Simulation};
 use utilcast_simnet::threaded::run_threaded;
 use utilcast_simnet::transport::ReportFrame;
-use utilcast_timeseries::lstm::{LstmConfig, LstmKernel};
 
 fn trace() -> Trace {
     presets::google_like()
@@ -210,125 +206,6 @@ fn mini_batch_shard_kernel_bit_identical_at_any_thread_count() {
     }
 }
 
-/// The vectorized clustering kernel forced through the full seed stack
-/// (ISSUE 9 kernel matrix): `Kernel::SimdNorms` preserves the cached-norm
-/// reduction order, so the whole `SimReport` is bit-identical to the
-/// default `CachedNorms` stack at every thread count, and the hierarchical
-/// mini-batch shard path (which routes its re-assignment scan through the
-/// same lane kernel) is kernel-invariant too.
-#[test]
-fn simd_norms_kernel_bit_identical_through_full_stack() {
-    let reference = run_with(ComputeOptions::default());
-    for threads in [1, 2, 8] {
-        let simd = run_with(ComputeOptions {
-            kernel: Kernel::SimdNorms,
-            threads,
-            ..Default::default()
-        });
-        assert_eq!(
-            simd, reference,
-            "SimdNorms diverged from the default stack at {threads} threads"
-        );
-    }
-    let hier = |kernel: Kernel| ComputeOptions {
-        shards: 4,
-        shard_kernel: ShardKernel::MiniBatch,
-        cold_reseed_every: 13,
-        kernel,
-        ..Default::default()
-    };
-    assert_eq!(
-        run_with(hier(Kernel::SimdNorms)),
-        run_with(hier(Kernel::CachedNorms)),
-        "SimdNorms diverged on the hierarchical mini-batch path"
-    );
-}
-
-/// The lane batch-decide kernel forced through the full seed stack:
-/// `BankKernel::Lanes` keeps the per-row error sum and threshold compare
-/// in scalar order, so the `SimReport` is bit-identical to the
-/// default per-row kernel, single-threaded and at every supervisor shard
-/// count.
-#[test]
-fn lane_bank_kernel_bit_identical_through_full_stack() {
-    let trace = trace();
-    let config = |bank_kernel: BankKernel| SimConfig {
-        k: 4,
-        warmup: 30,
-        retrain_every: 40,
-        compute: ComputeOptions {
-            bank_kernel,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let reference = Simulation::new(config(BankKernel::PerRow))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    let lanes = Simulation::new(config(BankKernel::Lanes))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    assert_eq!(lanes, reference, "lane bank kernel diverged");
-    for shards in [1, 2, 8] {
-        let threaded =
-            run_threaded(&config(BankKernel::Lanes), &trace, Resource::Cpu, shards).unwrap();
-        assert_eq!(
-            threaded, reference,
-            "threaded lane bank kernel diverged at {shards} shards"
-        );
-    }
-}
-
-/// The vectorized LSTM kernel forced through the full stack: below lane
-/// width (`hidden < 8`) `LstmKernel::SimdFlat` is bit-identical to the
-/// default `FusedFlat`, and at the default hidden width (16, where the
-/// lane folds reassociate) the SimdFlat run is still deterministic — the
-/// same `SimReport` bit for bit at every thread count.
-#[test]
-fn simd_flat_lstm_kernel_deterministic_through_full_stack() {
-    let trace = trace();
-    let config = |kernel: LstmKernel, hidden: usize, threads: usize| SimConfig {
-        k: 4,
-        warmup: 30,
-        retrain_every: 40,
-        model: ModelSpec::Lstm(LstmConfig {
-            hidden,
-            epochs: 2,
-            kernel,
-            ..Default::default()
-        }),
-        compute: ComputeOptions {
-            threads,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let run = |c: SimConfig| {
-        Simulation::new(c)
-            .unwrap()
-            .run(&trace, Resource::Cpu)
-            .unwrap()
-    };
-    // Bitwise parity below lane width: the lane gemv degenerates to the
-    // order-preserving scalar tail.
-    assert_eq!(
-        run(config(LstmKernel::SimdFlat, 4, 1)),
-        run(config(LstmKernel::FusedFlat, 4, 1)),
-        "SimdFlat diverged from FusedFlat below lane width"
-    );
-    // Determinism at lane width: thread count must be invisible.
-    let sequential = run(config(LstmKernel::SimdFlat, 16, 1));
-    for threads in [2, 8] {
-        assert_eq!(
-            run(config(LstmKernel::SimdFlat, 16, threads)),
-            sequential,
-            "SimdFlat nondeterministic at {threads} threads"
-        );
-    }
-}
-
 fn base_config() -> SimConfig {
     SimConfig {
         k: 4,
@@ -338,28 +215,15 @@ fn base_config() -> SimConfig {
     }
 }
 
-/// The nested points path into the clustering stage (`flat_points =
-/// false`) and the threaded driver at shard counts 1, 2, and 8 all
-/// reproduce the inline driver's `SimReport` bit for bit (exact `f64`
-/// equality).
+/// The threaded driver at shard counts 1, 2, and 8 reproduces the inline
+/// driver's `SimReport` bit for bit (exact `f64` equality).
 #[test]
-fn nested_points_and_threaded_frames_bit_identical_to_inline() {
+fn threaded_frames_bit_identical_to_inline() {
     let trace = trace();
     let inline = Simulation::new(base_config())
         .unwrap()
         .run(&trace, Resource::Cpu)
         .unwrap();
-    let nested = Simulation::new(SimConfig {
-        compute: ComputeOptions {
-            flat_points: false,
-            ..Default::default()
-        },
-        ..base_config()
-    })
-    .unwrap()
-    .run(&trace, Resource::Cpu)
-    .unwrap();
-    assert_eq!(nested, inline, "nested points path diverged");
     for shards in [1, 2, 8] {
         let threaded = run_threaded(&base_config(), &trace, Resource::Cpu, shards).unwrap();
         assert_eq!(

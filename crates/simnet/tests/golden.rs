@@ -1,6 +1,10 @@
 //! Golden-report fixtures: every entry point of the driver is pinned to a
 //! committed `serde_json::to_string` rendering of its report, so a change
-//! to the tick loop that moves any bit of any field fails here.
+//! to the tick loop that moves any bit of any field fails here. The same
+//! holds for k-means fits at dimensions 2 and 8 (plain and weighted), a
+//! mini-batch hierarchical run and a hidden-4 LSTM run with its forecasts.
+//! A mid-run checkpoint written under since-retired kernel knobs
+//! (`old_checkpoint_*`) must restore and continue as recorded.
 //!
 //! Regenerate (only when a behaviour change is intended and documented):
 //!
@@ -261,9 +265,8 @@ fn generate_golden_fixtures() {
 #[test]
 fn reports_match_golden_fixtures() {
     for (name, rendered) in cases() {
-        let fixture = std::fs::read_to_string(fixture_path(name))
-            .unwrap_or_else(|e| panic!("fixture {name}: {e}"));
-        let fixture = fixture.trim_end();
+        let fixture = read_fixture(name);
+        let fixture = fixture.as_str();
         if BYTES_EXEMPT.contains(&name) {
             let got: FaultReport = serde_json::from_str(&rendered).unwrap();
             let mut want: FaultReport = serde_json::from_str(fixture).unwrap();
@@ -385,10 +388,11 @@ fn read_fixture(name: &str) -> String {
 /// A checkpoint written before the lane-kernel knobs were retired
 /// (`old_checkpoint_*` fixtures) restores, and the restored controller and
 /// bank continue the run bit for bit as the uninterrupted run did. The
-/// checkpoint's compute options select the removed `SimdNorms` k-means
-/// kernel, `Lanes` bank kernel and nested points, and its LSTM the removed
-/// `SimdFlat` kernel at hidden 4: every one of them was bitwise-equal to
-/// the path that replaces it.
+/// checkpoint's compute options select the removed lane k-means kernel,
+/// lane bank kernel and nested points, and its LSTM the removed lane
+/// kernel at hidden 4; the bank of the recorded run decided with the lane
+/// kernel too. Every one of them was bitwise-equal to the path that
+/// replaces it.
 #[test]
 fn old_checkpoint_restores_and_continues_bitwise() {
     let snapshot: ControllerSnapshot =
@@ -399,95 +403,5 @@ fn old_checkpoint_restores_and_continues_bitwise() {
         continue_run(controller, bank),
         read_fixture("old_checkpoint_continued"),
         "restored run diverged from the recorded continuation"
-    );
-}
-
-/// The configuration of the old-checkpoint run, under the lane-kernel
-/// knobs that are about to be retired.
-fn old_kernels_controller() -> Controller {
-    use utilcast_core::compute::Kernel;
-    use utilcast_timeseries::lstm::LstmKernel;
-    Controller::new(ControllerConfig {
-        num_nodes: trace().num_nodes(),
-        k: 3,
-        warmup: 30,
-        retrain_every: 20,
-        model: ModelSpec::Lstm(LstmConfig {
-            hidden: 4,
-            epochs: 2,
-            kernel: LstmKernel::SimdFlat,
-            ..Default::default()
-        }),
-        compute: ComputeOptions {
-            threads: 2,
-            kernel: Kernel::SimdNorms,
-            flat_points: false,
-            shards: 2,
-            shard_kernel: ShardKernel::MiniBatch,
-            bank_kernel: utilcast_core::compute::BankKernel::Lanes,
-            ..Default::default()
-        },
-        ..Default::default()
-    })
-    .unwrap()
-}
-
-/// [`drive_ticks`] through the lane bank kernel.
-fn drive_ticks_lanes(
-    controller: &mut Controller,
-    bank: &mut TransmitterBank,
-    from: usize,
-    to: usize,
-) -> Vec<(usize, f64, bool)> {
-    let trace = trace();
-    let mut frame = ReportFrame::new(1);
-    let (mut decisions, mut errs) = (Vec::new(), Vec::new());
-    let mut ticks = Vec::new();
-    for t in from..to {
-        let x = trace.snapshot(Resource::Cpu, t).unwrap();
-        let zs = if t == 0 {
-            x.clone()
-        } else {
-            controller.stored().to_vec()
-        };
-        bank.decide_batch_lanes_against(&x, &zs, &mut errs, &mut decisions);
-        frame.reset(t);
-        for (node, (&v, &send)) in x.iter().zip(&decisions).enumerate() {
-            if t == 0 || send {
-                frame.push_scalar(node, v);
-            }
-        }
-        let tick = controller
-            .tick_frames(std::slice::from_ref(&frame))
-            .unwrap();
-        ticks.push((tick.reports_applied, tick.intermediate_rmse, tick.retrained));
-    }
-    ticks
-}
-
-#[test]
-#[ignore = "writes the old-checkpoint fixtures; only meaningful while the old kernels exist"]
-fn generate_old_checkpoint_fixtures() {
-    let mut controller = old_kernels_controller();
-    let tx = TransmitConfig::with_budget(0.3);
-    let mut bank = TransmitterBank::new(tx, trace().num_nodes());
-    drive_ticks_lanes(&mut controller, &mut bank, 0, CHECKPOINT_AT);
-    let write = |name: &str, rendered: String| {
-        std::fs::write(fixture_path(name), rendered + "\n").unwrap();
-    };
-    write(
-        "old_checkpoint_controller",
-        serde_json::to_string(&controller.snapshot()).unwrap(),
-    );
-    write("old_checkpoint_bank", serde_json::to_string(&bank).unwrap());
-    let ticks = drive_ticks_lanes(
-        &mut controller,
-        &mut bank,
-        CHECKPOINT_AT,
-        trace().num_steps(),
-    );
-    write(
-        "old_checkpoint_continued",
-        render_run(&controller, &bank, ticks),
     );
 }

@@ -11,26 +11,19 @@
 //! such models are needed for the whole datacenter, so each one trains in
 //! seconds on a laptop core (Table II).
 //!
-//! Three compute paths implement the same math (see [`LstmKernel`]): the
-//! original allocating scalar loops (`Exact`, kept as the differential
-//! reference), a fused flat-buffer path (`FusedFlat`, the default) built
-//! on the blocked kernels in `utilcast_linalg::kernels` with one recycled
-//! workspace per fit instead of per-step `Vec<Vec<f64>>` caches, and a
-//! SIMD-shaped lane path (`SimdFlat`) that swaps each fused kernel for its
-//! `utilcast_linalg::simd` lane twin. `Exact` and `FusedFlat` are
+//! Two compute paths implement the same math (see [`LstmKernel`]): the
+//! production fused flat-buffer path (`FusedFlat`, the default) built on
+//! the blocked kernels in `utilcast_linalg::kernels` with one recycled
+//! workspace per fit instead of per-step `Vec<Vec<f64>>` caches, and its
+//! oracle, the original allocating scalar loops (`Exact`). The two are
 //! bit-identical by construction — every accumulator sees the same IEEE op
-//! sequence — and a proptest suite enforces it. `SimdFlat` is bit-identical
-//! too whenever `hidden < utilcast_linalg::simd::LANES` (the lane dot
-//! degenerates to the scalar tail); at wider hidden sizes the lane `gemv`
-//! row dots reassociate and the parity suite bounds the drift by the
-//! documented tolerance envelope instead.
+//! sequence — and a proptest suite enforces it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use utilcast_linalg::kernels::{gemv_acc, gemv_t_acc, lstm_gate_fuse, rank1_acc};
 use utilcast_linalg::rng::normal;
-use utilcast_linalg::simd::{gemv_lanes, gemv_t_lanes, lstm_gate_fuse_lanes, rank1_lanes};
 
 use crate::{Forecaster, TimeSeriesError};
 
@@ -38,12 +31,8 @@ use crate::{Forecaster, TimeSeriesError};
 ///
 /// `Exact` and `FusedFlat` produce bit-identical weights, training MSE, and
 /// forecasts; the fused path is the production default, the exact path is
-/// the transparent scalar reference kept for differential tests and
-/// benchmarking. `SimdFlat` matches them bit for bit when
-/// `hidden < utilcast_linalg::simd::LANES`; at wider hidden sizes its lane
-/// `gemv` reassociates the per-row dot and results agree within the
-/// tolerance envelope documented in `utilcast_linalg::simd`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// the transparent scalar reference kept for differential tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum LstmKernel {
     /// The original nested-`Vec` scalar loops with per-step cache
     /// allocation.
@@ -52,12 +41,24 @@ pub enum LstmKernel {
     /// and a recycled forward/backward workspace.
     #[default]
     FusedFlat,
-    /// The fused flat path with every kernel swapped for its SIMD-shaped
-    /// lane twin from `utilcast_linalg::simd` (fixed-width `[f64; 8]`
-    /// accumulators over `chunks_exact`, shaped so LLVM autovectorizes).
-    /// Same workspace, same op count — only the `gemv` row-dot reduction
-    /// order differs, and only when `hidden >= 8`.
-    SimdFlat,
+}
+
+/// Reads `"Exact"` and `"FusedFlat"`, and reads the name of the retired
+/// lane kernel, which older checkpoints may carry, as `FusedFlat`. That
+/// mapping is bitwise only where the lane kernel was bitwise, i.e. at
+/// `hidden < 8`: at wider hidden sizes its lane dot products reassociated,
+/// so a restored model continues on the fused path's rounding instead.
+impl Deserialize for LstmKernel {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v.as_str() {
+            Some("Exact") => Ok(LstmKernel::Exact),
+            Some("FusedFlat" | "SimdFlat") => Ok(LstmKernel::FusedFlat),
+            Some(other) => Err(DeError::new(format!(
+                "unknown variant `{other}` for enum LstmKernel"
+            ))),
+            None => Err(DeError::expected("LstmKernel variant name", v)),
+        }
+    }
 }
 
 /// Hyperparameters for [`Lstm`].
@@ -78,7 +79,7 @@ pub struct LstmConfig {
     /// RNG seed for weight initialization and sample shuffling.
     pub seed: u64,
     /// Compute path; see [`LstmKernel`] for the parity contract between
-    /// the three.
+    /// the two.
     pub kernel: LstmKernel,
 }
 
@@ -372,13 +373,10 @@ struct Workspace {
     zeros: Vec<f64>,
     /// Head gradient buffer, `hidden + 1`.
     head_grads: Vec<f64>,
-    /// `true` routes every kernel call through the SIMD-shaped lane twins
-    /// in `utilcast_linalg::simd` ([`LstmKernel::SimdFlat`]).
-    simd: bool,
 }
 
 impl Workspace {
-    fn new(layers: &[LstmLayer], steps: usize, simd: bool) -> Self {
+    fn new(layers: &[LstmLayer], steps: usize) -> Self {
         let h = layers.last().map_or(0, |l| l.hidden);
         Workspace {
             layers: layers
@@ -399,7 +397,6 @@ impl Workspace {
             dc_scratch: vec![0.0; h],
             zeros: vec![0.0; h],
             head_grads: vec![0.0; h + 1],
-            simd,
         }
     }
 }
@@ -412,10 +409,6 @@ impl Workspace {
 /// At `t == 0` the recurrent contribution is skipped outright — the exact
 /// path adds `w * 0.0` terms there, which cannot change any accumulator bit
 /// (an accumulator built from `+=` of finite terms is never `-0.0`).
-///
-/// With `simd` set, every kernel call routes to its lane twin in
-/// `utilcast_linalg::simd`; only the `gemv` row-dot reduction order can
-/// differ, and only when the row length reaches the lane width.
 // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
 // affine in the hidden/input dims fixed at construction, with buffer
 // lengths debug_asserted at kernel entry; exemplar chain:
@@ -429,20 +422,13 @@ fn forward_layer_fused(
     z: &mut [f64],
     zeros: &[f64],
     lw: &mut LayerWs,
-    simd: bool,
 ) {
     let h = layer.hidden;
     let input = layer.input;
-    let gemv = if simd { gemv_lanes } else { gemv_acc };
-    let gate_fuse = if simd {
-        lstm_gate_fuse_lanes
-    } else {
-        lstm_gate_fuse
-    };
     for t in 0..steps {
         let z_t = &mut z[..4 * h];
         z_t.copy_from_slice(layer.b());
-        gemv(
+        gemv_acc(
             z_t,
             layer.wx(),
             4 * h,
@@ -456,12 +442,12 @@ fn forward_layer_fused(
         // state: skipping the gemv and fusing against the shared zero buffer
         // reproduces the exact path's arithmetic term for term.
         let c_prev: &[f64] = if t > 0 {
-            gemv(z_t, layer.wh(), 4 * h, h, &h_done[(t - 1) * h..]);
+            gemv_acc(z_t, layer.wh(), 4 * h, h, &h_done[(t - 1) * h..]);
             &c_done[(t - 1) * h..]
         } else {
             &zeros[..h]
         };
-        gate_fuse(
+        lstm_gate_fuse(
             z_t,
             c_prev,
             h,
@@ -480,8 +466,6 @@ fn forward_layer_fused(
 /// Bit-identical to [`LstmLayer::backward`]: the scalar path skips rows with
 /// an exactly-zero `dz`, which only ever adds `±0.0` terms — a bitwise no-op
 /// on accumulators that `+=` finite values — so the kernels run unconditionally.
-/// With `simd` set, the rank-1 and transposed-gemv calls route to their lane
-/// twins, which are order-preserving (bitwise) — see `utilcast_linalg::simd`.
 #[allow(clippy::too_many_arguments)]
 // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
 // affine in the hidden/input dims fixed at construction, with buffer
@@ -504,12 +488,9 @@ fn backward_layer_fused(
     dh_carry: &mut [f64],
     dc_carry: &mut [f64],
     dc_scratch: &mut [f64],
-    simd: bool,
 ) {
     let h = layer.hidden;
     let input = layer.input;
-    let rank1 = if simd { rank1_lanes } else { rank1_acc };
-    let gemv_t = if simd { gemv_t_lanes } else { gemv_t_acc };
     let wh_off = layer.wh_offset();
     let b_off = layer.b_offset();
     for v in dh_carry.iter_mut() {
@@ -541,15 +522,15 @@ fn backward_layer_fused(
             dc_scratch[j] = dc * gf;
         }
         let dz_t = &dz[..4 * h];
-        rank1(&mut grads[..wh_off], dz_t, &xs[t * input..(t + 1) * input]);
+        rank1_acc(&mut grads[..wh_off], dz_t, &xs[t * input..(t + 1) * input]);
         if t > 0 {
-            rank1(&mut grads[wh_off..b_off], dz_t, &lw_hs[(t - 1) * h..t * h]);
+            rank1_acc(&mut grads[wh_off..b_off], dz_t, &lw_hs[(t - 1) * h..t * h]);
         }
         for (g, &d) in grads[b_off..].iter_mut().zip(dz_t) {
             *g += d;
         }
         if let Some(dx) = dx_out.as_deref_mut() {
-            gemv_t(
+            gemv_t_acc(
                 &mut dx[t * input..(t + 1) * input],
                 layer.wx(),
                 4 * h,
@@ -560,7 +541,7 @@ fn backward_layer_fused(
         for v in dh_carry.iter_mut() {
             *v = 0.0;
         }
-        gemv_t(dh_carry, layer.wh(), 4 * h, h, dz_t);
+        gemv_t_acc(dh_carry, layer.wh(), 4 * h, h, dz_t);
         dc_carry.copy_from_slice(dc_scratch);
     }
 }
@@ -727,22 +708,13 @@ impl Lstm {
     // timeseries::lstm::Lstm::forward_fused
     fn forward_fused(state: &LstmState, ws: &mut Workspace, window: &[f64]) -> f64 {
         let steps = window.len();
-        let simd = ws.simd;
         for (idx, layer) in state.layers.iter().enumerate() {
             let (below, cur) = ws.layers.split_at_mut(idx);
             let lw = &mut cur[0];
             if idx == 0 {
-                forward_layer_fused(layer, window, steps, &mut ws.z, &ws.zeros, lw, simd);
+                forward_layer_fused(layer, window, steps, &mut ws.z, &ws.zeros, lw);
             } else {
-                forward_layer_fused(
-                    layer,
-                    &below[idx - 1].hs,
-                    steps,
-                    &mut ws.z,
-                    &ws.zeros,
-                    lw,
-                    simd,
-                );
+                forward_layer_fused(layer, &below[idx - 1].hs, steps, &mut ws.z, &ws.zeros, lw);
             }
         }
         let h = state.head_w.len();
@@ -841,7 +813,6 @@ fn fused_train_sample(
             &mut ws.dh_carry,
             &mut ws.dc_carry,
             &mut ws.dc_scratch,
-            ws.simd,
         );
     }
     // Apply Adam updates in place — no delta vectors allocated.
@@ -989,8 +960,7 @@ impl Forecaster for Lstm {
             .collect();
         let mut head_opt = Adam::new(c.hidden + 1, c.learning_rate);
         let mut ws = match c.kernel {
-            LstmKernel::FusedFlat => Some(Workspace::new(&state.layers, c.window, false)),
-            LstmKernel::SimdFlat => Some(Workspace::new(&state.layers, c.window, true)),
+            LstmKernel::FusedFlat => Some(Workspace::new(&state.layers, c.window)),
             LstmKernel::Exact => None,
         };
 
@@ -1062,8 +1032,7 @@ impl Forecaster for Lstm {
             .map(|v| ((v - state.lo) / span).clamp(-0.5, 1.5))
             .collect();
         let mut ws = match self.config.kernel {
-            LstmKernel::FusedFlat => Some(Workspace::new(&state.layers, w, false)),
-            LstmKernel::SimdFlat => Some(Workspace::new(&state.layers, w, true)),
+            LstmKernel::FusedFlat => Some(Workspace::new(&state.layers, w)),
             LstmKernel::Exact => None,
         };
         let mut out = Vec::with_capacity(horizon);
@@ -1253,51 +1222,15 @@ mod tests {
     }
 
     #[test]
-    fn simd_kernel_bit_identical_below_lane_width() {
-        // With hidden < LANES every lane reduction degenerates to the
-        // scalar tail, so SimdFlat must reproduce FusedFlat bit for bit.
-        let series: Vec<f64> = (0..120)
-            .map(|t| 0.4 + 0.3 * (t as f64 * 0.21).sin() + 0.01 * (t % 7) as f64)
-            .collect();
-        let cfg = LstmConfig {
-            hidden: 4,
-            ..tiny_config()
-        };
-        let mut fused = Lstm::new(cfg.clone());
-        let mut simd = Lstm::new(LstmConfig {
-            kernel: LstmKernel::SimdFlat,
-            ..cfg
-        });
-        fused.fit(&series).unwrap();
-        simd.fit(&series).unwrap();
-        assert_eq!(fused.state, simd.state, "fitted state must match bitwise");
-        assert_eq!(
-            fused.forecast(&series, 8).unwrap(),
-            simd.forecast(&series, 8).unwrap()
-        );
-    }
-
-    #[test]
-    fn simd_kernel_close_to_fused_at_lane_width() {
-        // At hidden >= LANES the lane gemv reassociates; training still has
-        // to land on an equivalent model (same series, same seed).
-        let series: Vec<f64> = (0..120)
-            .map(|t| 0.4 + 0.3 * (t as f64 * 0.21).sin() + 0.01 * (t % 7) as f64)
-            .collect();
-        let mut fused = Lstm::new(tiny_config());
-        let mut simd = Lstm::new(LstmConfig {
-            kernel: LstmKernel::SimdFlat,
-            ..tiny_config()
-        });
-        fused.fit(&series).unwrap();
-        simd.fit(&series).unwrap();
-        let a = fused.forecast(&series, 4).unwrap();
-        let b = simd.forecast(&series, 4).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!(
-                (x - y).abs() < 1e-3,
-                "forecasts diverged beyond tolerance: {x} vs {y}"
-            );
+    fn kernel_names_deserialize_with_retired_simd_flat_as_fused() {
+        let read = |name: &str| LstmKernel::from_value(&Value::String(name.into()));
+        assert_eq!(read("Exact").unwrap(), LstmKernel::Exact);
+        assert_eq!(read("FusedFlat").unwrap(), LstmKernel::FusedFlat);
+        assert_eq!(read("SimdFlat").unwrap(), LstmKernel::FusedFlat);
+        assert!(read("Lanes").is_err());
+        assert!(LstmKernel::from_value(&Value::Bool(true)).is_err());
+        for kernel in [LstmKernel::Exact, LstmKernel::FusedFlat] {
+            assert_eq!(LstmKernel::from_value(&kernel.to_value()).unwrap(), kernel);
         }
     }
 
@@ -1350,17 +1283,17 @@ mod tests {
         let xs = vec![0.3, -0.2, -0.1, 0.4, 0.5, 0.05];
         let steps = 3;
         let fused_loss = |l: &LstmLayer| -> f64 {
-            let mut ws = Workspace::new(std::slice::from_ref(l), steps, false);
+            let mut ws = Workspace::new(std::slice::from_ref(l), steps);
             let mut z = vec![0.0; 4 * l.hidden];
             let zeros = vec![0.0; l.hidden];
-            forward_layer_fused(l, &xs, steps, &mut z, &zeros, &mut ws.layers[0], false);
+            forward_layer_fused(l, &xs, steps, &mut z, &zeros, &mut ws.layers[0]);
             ws.layers[0].hs[(steps - 1) * l.hidden..].iter().sum()
         };
-        let mut ws = Workspace::new(std::slice::from_ref(&layer), steps, false);
+        let mut ws = Workspace::new(std::slice::from_ref(&layer), steps);
         {
             let mut z = vec![0.0; 4 * layer.hidden];
             let zeros = vec![0.0; layer.hidden];
-            forward_layer_fused(&layer, &xs, steps, &mut z, &zeros, &mut ws.layers[0], false);
+            forward_layer_fused(&layer, &xs, steps, &mut z, &zeros, &mut ws.layers[0]);
         }
         // dLoss/dh = 1 on the last step only.
         let mut dh = vec![0.0; steps * layer.hidden];
@@ -1384,7 +1317,6 @@ mod tests {
             &mut ws.dh_carry,
             &mut ws.dc_carry,
             &mut ws.dc_scratch,
-            false,
         );
         let eps = 1e-6;
         // Probe entries across all three parameter blocks.

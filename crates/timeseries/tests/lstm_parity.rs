@@ -3,13 +3,6 @@
 //! seeds and shapes — same training trajectory (per-epoch MSE), same fitted
 //! state, same forecasts. Equality below is exact floating-point equality,
 //! never a tolerance.
-//!
-//! The vectorized tier (ISSUE 9): `SimdFlat` swaps the forward `gemv` for
-//! the lane-folding `gemv_lanes`, which reassociates the per-row dot once
-//! the input width reaches the lane count (8). Below lane width the fold
-//! degenerates to the scalar tail, so `SimdFlat` is bit-identical to
-//! `FusedFlat`; at or above lane width it must stay inside a small
-//! relative envelope over the whole fit + closed-loop forecast.
 
 use proptest::prelude::*;
 use utilcast_timeseries::lstm::{Lstm, LstmConfig, LstmKernel};
@@ -81,84 +74,6 @@ proptest! {
         let ff = fused.forecast(&data, 8).expect("fused forecast");
         for (h, (e, f)) in ef.iter().zip(ff.iter()).enumerate() {
             prop_assert_eq!(e.to_bits(), f.to_bits(), "forecast h={} diverged", h);
-        }
-    }
-
-    /// Below lane width the simd tier must reproduce the fused kernel bit
-    /// for bit across shapes: hidden < 8 means every `gemv_lanes` call
-    /// falls through to the order-preserving scalar tail (the first-layer
-    /// input width is 1, so only `hidden` bounds the fold).
-    #[test]
-    fn simd_kernel_bit_identical_below_lane_width(
-        window in 2usize..6,
-        hidden in 1usize..8,
-        layers in 1usize..3,
-        epochs in 1usize..4,
-        seed in 0u64..1000,
-        data_seed in 0u64..1000,
-    ) {
-        let config = LstmConfig {
-            window,
-            hidden,
-            layers,
-            epochs,
-            learning_rate: 0.02,
-            grad_clip: 1.0,
-            seed,
-            kernel: LstmKernel::FusedFlat,
-        };
-        let data = series(window * 4 + 24, data_seed);
-        let mut fused = Lstm::new(config.clone());
-        let mut simd = Lstm::new(LstmConfig { kernel: LstmKernel::SimdFlat, ..config });
-        fused.fit(&data).expect("fused fit");
-        simd.fit(&data).expect("simd fit");
-        prop_assert_eq!(
-            fused.train_mse().expect("trained").to_bits(),
-            simd.train_mse().expect("trained").to_bits(),
-            "train_mse diverged"
-        );
-        let ff = fused.forecast(&data, 8).expect("fused forecast");
-        let sf = simd.forecast(&data, 8).expect("simd forecast");
-        for (h, (f, s)) in ff.iter().zip(sf.iter()).enumerate() {
-            prop_assert_eq!(f.to_bits(), s.to_bits(), "forecast h={} diverged", h);
-        }
-    }
-
-    /// At and above lane width the reassociated column folds may differ
-    /// from the serial sum, but the documented envelope holds over the
-    /// whole trajectory: training MSE and closed-loop forecasts stay
-    /// within a small relative tolerance of the fused reference.
-    #[test]
-    fn simd_kernel_within_tolerance_at_lane_width(
-        hidden in 8usize..17,
-        seed in 0u64..200,
-        data_seed in 0u64..200,
-    ) {
-        let config = LstmConfig {
-            window: 4,
-            hidden,
-            layers: 2,
-            epochs: 3,
-            learning_rate: 0.02,
-            grad_clip: 1.0,
-            seed,
-            kernel: LstmKernel::FusedFlat,
-        };
-        let data = series(48, data_seed);
-        let mut fused = Lstm::new(config.clone());
-        let mut simd = Lstm::new(LstmConfig { kernel: LstmKernel::SimdFlat, ..config });
-        fused.fit(&data).expect("fused fit");
-        simd.fit(&data).expect("simd fit");
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 + 1e-3 * a.abs().max(b.abs());
-        let (mf, ms) = (
-            fused.train_mse().expect("trained"),
-            simd.train_mse().expect("trained"),
-        );
-        prop_assert!(close(mf, ms), "train_mse outside envelope: {} vs {}", mf, ms);
-        let ff = fused.forecast(&data, 8).expect("fused forecast");
-        let sf = simd.forecast(&data, 8).expect("simd forecast");
-        for (h, (&f, &s)) in ff.iter().zip(sf.iter()).enumerate() {
-            prop_assert!(close(f, s), "forecast h={} outside envelope: {} vs {}", h, f, s);
         }
     }
 

@@ -14,8 +14,7 @@
 #
 # The three report binaries are built with RUSTFLAGS="-C target-cpu=native"
 # (into their own target dir, target/native, so the portable build cache
-# is untouched): the vectorized kernel tiers (Kernel::SimdNorms,
-# LstmKernel::SimdFlat, BankKernel::Lanes) are safe Rust shaped for
+# is untouched): the k-means block scan at d >= 2 is safe Rust shaped for
 # autovectorization, and the default x86-64 target caps codegen at SSE2 —
 # native codegen lets the committed JSONs reflect the host's real vector
 # width (AVX2/AVX-512 where present). Parity guards run in the same
