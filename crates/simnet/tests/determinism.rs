@@ -7,11 +7,13 @@
 
 use proptest::prelude::*;
 use utilcast_core::compute::{ComputeOptions, ShardKernel};
+use utilcast_core::pipeline::ModelSpec;
 use utilcast_datasets::{presets, Resource, Trace};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
 use utilcast_simnet::sim::{SimConfig, Simulation};
 use utilcast_simnet::threaded::run_threaded;
 use utilcast_simnet::transport::ReportFrame;
+use utilcast_timeseries::lstm::LstmConfig;
 
 fn trace() -> Trace {
     presets::google_like()
@@ -202,6 +204,68 @@ fn mini_batch_shard_kernel_bit_identical_at_any_thread_count() {
             run_with(compute(threads)),
             sequential,
             "threads = {threads} diverged"
+        );
+    }
+}
+
+/// Per-cluster LSTM retraining runs concurrently on the worker pool: a
+/// hidden-16 LSTM under the default kernel gives the same `SimReport` at
+/// any thread count. The report carries no forecasts, so the same run is
+/// also driven through a bare `Controller` and its forecasts compared.
+#[test]
+fn lstm_retraining_bit_identical_at_any_thread_count() {
+    let trace = trace();
+    let model = || {
+        ModelSpec::Lstm(LstmConfig {
+            hidden: 16,
+            epochs: 2,
+            ..Default::default()
+        })
+    };
+    let compute = |threads: usize| ComputeOptions {
+        threads,
+        ..Default::default()
+    };
+    let report = |threads: usize| {
+        Simulation::new(SimConfig {
+            model: model(),
+            compute: compute(threads),
+            ..base_config()
+        })
+        .unwrap()
+        .run(&trace, Resource::Cpu)
+        .unwrap()
+    };
+    let forecast = |threads: usize| {
+        let mut controller = Controller::new(ControllerConfig {
+            num_nodes: trace.num_nodes(),
+            k: 4,
+            warmup: 30,
+            retrain_every: 40,
+            model: model(),
+            compute: compute(threads),
+            ..Default::default()
+        })
+        .unwrap();
+        let mut frame = ReportFrame::new(1);
+        for t in 0..trace.num_steps() {
+            frame.reset(t);
+            for (node, &v) in trace.snapshot(Resource::Cpu, t).unwrap().iter().enumerate() {
+                frame.push_scalar(node, v);
+            }
+            controller
+                .tick_frames(std::slice::from_ref(&frame))
+                .unwrap();
+        }
+        controller.forecast(4).unwrap()
+    };
+    let (sequential, sequential_forecast) = (report(1), forecast(1));
+    for threads in [2, 8] {
+        assert_eq!(report(threads), sequential, "threads = {threads} diverged");
+        assert_eq!(
+            forecast(threads),
+            sequential_forecast,
+            "threads = {threads} forecasts diverged"
         );
     }
 }

@@ -168,10 +168,6 @@ fn cases() -> Vec<(&'static str, String)> {
         },
         ..base()
     };
-    let lstm = SimConfig {
-        model: lstm_model(),
-        ..base()
-    };
     let plain = SupervisorOptions::default();
     vec![
         ("kmeans_fit_dim2", kmeans_fit(2)),
@@ -179,7 +175,6 @@ fn cases() -> Vec<(&'static str, String)> {
         ("kmeans_weighted_dim2", kmeans_weighted(2)),
         ("kmeans_weighted_dim8", kmeans_weighted(8)),
         ("inline_minibatch_shards4", inline(mini_batch)),
-        ("inline_lstm_hidden4", inline(lstm)),
         ("controller_lstm_hidden4", lstm_run()),
         ("inline_healthy", inline(base())),
         ("threaded_1", supervised(&base(), 1, &plain)),
