@@ -134,47 +134,132 @@ pub fn node_offset(window: &[OffsetSnapshot<'_>], i: usize, j: usize) -> Vec<f64
 }
 
 /// One step of history used by the offset estimator, with the stored
-/// measurements in one contiguous row-major buffer (`n * dim` values) —
-/// the view the flat ingest path's history snapshots expose. Centroids
-/// stay nested: there are only `K` of them, and they are produced nested
-/// by the clustering stage.
+/// scalar measurements in one contiguous buffer (one value per node) —
+/// the view the stage's `N × 1` history snapshots expose. Centroids stay
+/// nested: there are only `K` of them, and they are produced nested by the
+/// clustering stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OffsetSnapshotFlat<'a> {
-    /// Stored measurements `z_{i,t-m}` for all nodes, row-major.
+    /// Stored measurements `z_{i,t-m}` for all nodes.
     pub values: &'a [f64],
-    /// Values per node.
-    pub dim: usize,
     /// Centroids `c_{j,t-m}` of that step.
     pub centroids: &'a [Vec<f64>],
 }
 
-/// [`node_offset`] over flat-buffer snapshots; identical arithmetic, so
-/// the result is bit-identical to the nested path on equivalent inputs.
-///
-/// # Panics
-///
-/// Panics if `window` is empty or shapes are inconsistent.
-// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-// dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain: core::offset::node_offset_flat
-pub fn node_offset_flat(window: &[OffsetSnapshotFlat<'_>], i: usize, j: usize) -> Vec<f64> {
-    assert!(!window.is_empty(), "offset window must be non-empty");
-    let dim = window[0].dim;
-    let mut acc = vec![0.0; dim];
-    for snap in window {
-        assert_eq!(snap.dim, dim, "dimension mismatch in offset window");
-        let z = &snap.values[i * dim..(i + 1) * dim];
-        let cj = &snap.centroids[j];
-        let alpha = clip_alpha(z, j, snap.centroids);
-        for ((a, zv), cv) in acc.iter_mut().zip(z).zip(cj) {
-            *a += alpha * (zv - cv);
+/// The node-independent half of [`clip_alpha`] over a whole scalar offset
+/// window, hoisted out of the per-node loop. For every `(snapshot,
+/// cluster j)` cell it holds `c_j` and the competitor list
+/// `(c_j − c_l, ‖c_j − c_l‖²)` of every `l` that [`clip_alpha`] would not
+/// skip (`l ≠ j`, `c_l` non-empty, not coincident). Building it costs
+/// `O((M'+1)·K²)`; [`ClipGeometry::offset`] then evaluates one node's
+/// Eq. 12 offset without allocating, performing the same float operations
+/// in the same order as [`node_offset`] over [`clip_alpha`], so the result
+/// is bitwise identical. (A one-term `sum()` equals its term bitwise, and
+/// the sign of a zero `proj` never matters because `-0.0 < 0.0` is false.)
+#[derive(Debug)]
+pub(crate) struct ClipGeometry<'a> {
+    k: usize,
+    /// Stored values per snapshot, most recent first.
+    values: Vec<&'a [f64]>,
+    /// `c_j` per cell `s * k + j`; `None` when snapshot `s` has no scalar
+    /// centroid for `j` (the oracle's dimension check would fail).
+    centers: Vec<Option<f64>>,
+    /// Cell `c`'s competitors are `competitors[bounds[c]..bounds[c + 1]]`.
+    bounds: Vec<usize>,
+    /// `(c_j − c_l, ‖c_j − c_l‖²)` per competitor, in centroid order.
+    competitors: Vec<(f64, f64)>,
+}
+
+impl<'a> ClipGeometry<'a> {
+    /// Hoists the centroid geometry of `window` (most recent first) for
+    /// clusters `0..k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is empty.
+    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
+    // dimensions validated at the public boundary and restated by
+    // debug_assert contracts (`centroids[l]` ranges over the enumerated
+    // slice itself); the overflow-checked debug-assert CI job backstops the
+    // proof at runtime; exemplar chain: core::offset::ClipGeometry::new
+    pub(crate) fn new(window: &[OffsetSnapshotFlat<'a>], k: usize) -> Self {
+        assert!(!window.is_empty(), "offset window must be non-empty");
+        let cells = window.len() * k;
+        let mut centers = Vec::with_capacity(cells);
+        let mut bounds = Vec::with_capacity(cells + 1);
+        let mut competitors = Vec::new();
+        bounds.push(0);
+        for snap in window {
+            for j in 0..k {
+                let cj = match snap.centroids.get(j) {
+                    Some(c) if c.len() == 1 => Some(c[0]),
+                    _ => None,
+                };
+                if let Some(cj) = cj {
+                    for (l, cl) in snap.centroids.iter().enumerate() {
+                        if l == j || cl.is_empty() {
+                            continue;
+                        }
+                        let diff = cj - cl[0];
+                        let dist_sq = diff * diff;
+                        if dist_sq < 1e-24 {
+                            // Coincident centroids: the bisector is
+                            // degenerate; skip.
+                            continue;
+                        }
+                        competitors.push((diff, dist_sq));
+                    }
+                }
+                centers.push(cj);
+                bounds.push(competitors.len());
+            }
+        }
+        ClipGeometry {
+            k,
+            values: window.iter().map(|snap| snap.values).collect(),
+            centers,
+            bounds,
+            competitors,
         }
     }
-    for a in &mut acc {
-        *a /= window.len() as f64;
+
+    /// Node `i`'s clipped Eq. 12 offset with respect to cluster `j`:
+    /// bitwise `node_offset(window, i, j)[0]` on the nested view of the
+    /// same window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= k`, `i` is out of range for a snapshot, or some
+    /// snapshot has no scalar centroid for `j`.
+    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
+    // dimensions validated at the public boundary and restated by
+    // debug_assert contracts (cell `s * k + j` is below `centers.len()`
+    // once `j < k` holds, and `bounds` has one more entry than `centers`);
+    // the overflow-checked debug-assert CI job backstops the proof at
+    // runtime; exemplar chain: core::offset::ClipGeometry::offset
+    pub(crate) fn offset(&self, i: usize, j: usize) -> f64 {
+        assert!(j < self.k, "cluster {j} out of range");
+        let mut acc = 0.0;
+        for (s, values) in self.values.iter().enumerate() {
+            let cell = s * self.k + j;
+            let center = self.centers[cell];
+            assert!(
+                center.is_some(),
+                "snapshot {s} has no scalar centroid for cluster {j}"
+            );
+            let cj = center.unwrap_or_default();
+            let delta = values[i] - cj;
+            let mut alpha: f64 = 1.0;
+            for &(diff, dist_sq) in &self.competitors[self.bounds[cell]..self.bounds[cell + 1]] {
+                let proj = delta * diff;
+                if proj < 0.0 {
+                    alpha = alpha.min(dist_sq / (-2.0 * proj));
+                }
+            }
+            acc += alpha.clamp(0.0, 1.0) * delta;
+        }
+        acc / self.values.len() as f64
     }
-    acc
 }
 
 /// Eq. 12 without the `α` clipping (every deviation taken in full) — the
@@ -309,51 +394,6 @@ mod tests {
         // Node 0 vs cluster 0: deviations +0.1 and -0.1, both unclipped.
         let s = node_offset(&window, 0, 0);
         assert!(s[0].abs() < 1e-12, "offset {:?}", s);
-    }
-
-    #[test]
-    fn flat_offset_is_bit_identical_to_nested() {
-        // Multi-node, multi-dimensional window with clipping active for
-        // some nodes: the flat view must reproduce the nested arithmetic
-        // exactly.
-        let values1 = vec![vec![0.3, 0.1], vec![0.9, 0.85], vec![0.55, 0.5]];
-        let centroids1 = vec![vec![0.2, 0.15], vec![0.9, 0.9]];
-        let values2 = vec![vec![0.1, 0.2], vec![0.95, 0.8], vec![0.45, 0.55]];
-        let centroids2 = vec![vec![0.25, 0.2], vec![0.85, 0.88]];
-        let flat1: Vec<f64> = values1.iter().flatten().copied().collect();
-        let flat2: Vec<f64> = values2.iter().flatten().copied().collect();
-        let nested = vec![
-            OffsetSnapshot {
-                values: &values1,
-                centroids: &centroids1,
-            },
-            OffsetSnapshot {
-                values: &values2,
-                centroids: &centroids2,
-            },
-        ];
-        let flat = vec![
-            OffsetSnapshotFlat {
-                values: &flat1,
-                dim: 2,
-                centroids: &centroids1,
-            },
-            OffsetSnapshotFlat {
-                values: &flat2,
-                dim: 2,
-                centroids: &centroids2,
-            },
-        ];
-        for i in 0..3 {
-            for j in 0..2 {
-                let a = node_offset(&nested, i, j);
-                let b = node_offset_flat(&flat, i, j);
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "node {i} cluster {j}");
-                }
-            }
-        }
     }
 
     #[test]

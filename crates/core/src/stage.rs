@@ -629,7 +629,6 @@ impl ForecastStage {
             .iter()
             .map(|s| OffsetSnapshotFlat {
                 values: s.values.as_slice(),
-                dim: 1,
                 centroids: &s.centroids,
             })
             .collect();

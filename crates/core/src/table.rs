@@ -7,10 +7,13 @@
 //!
 //! Every consumer of the pipeline's predictions previously went through
 //! [`crate::stage::ForecastStage::forecast`], which re-runs every
-//! per-cluster model, re-derives every node's majority membership over the
-//! `M' + 1` window, and re-averages every clipped offset — `O(N·M'·K)`
-//! work per call. That is fine for one reader per tick and fatal for a
-//! query plane serving millions of point reads between retrains. The
+//! per-cluster model, re-derives every node's majority membership and
+//! clipped offset over the `M' + 1` window, and assembles the whole
+//! `H × N` matrix on every call. The node resolution ([`resolve_nodes`])
+//! costs `O((M'+1)·K²)` once for the node-independent centroid geometry
+//! plus an allocation-free `O(N·(M'+1)·K)` pass over the nodes; the
+//! assembly adds `O(N·H)`. That is fine for one reader per tick and fatal
+//! for a query plane serving millions of point reads between retrains. The
 //! table precomputes exactly the three ingredients of Eq. 12 —
 //! per-cluster centroid trajectories out to a configured max horizon, the
 //! node→cluster membership index, and the per-node clipped offsets — so a
@@ -48,7 +51,7 @@ use serde::{Deserialize, Serialize};
 use utilcast_gaussian::model::GaussianModel;
 use utilcast_linalg::Matrix;
 
-use crate::offset::{forecast_membership, node_offset_flat, OffsetSnapshotFlat};
+use crate::offset::{ClipGeometry, OffsetSnapshotFlat};
 
 /// Number of trailing centroid observations the Gaussian interval model is
 /// fitted on. Bounded so table builds stay `O(K² · window)` regardless of
@@ -69,30 +72,63 @@ pub struct NodeResolution {
 }
 
 /// Resolves every node's forecast membership `j*` and clipped offset `ŝ_i`
-/// over a most-recent-first history window. This is verbatim the per-node
-/// preamble the recompute path ran inline; both callers now share it.
+/// over a most-recent-first history window, bitwise identical to running
+/// the per-node oracle ([`forecast_membership`](crate::offset::forecast_membership)
+/// then [`node_offset`](crate::offset::node_offset)) for every node.
+///
+/// The centroid geometry of Eq. 12 does not depend on the node, so it is
+/// hoisted out of the loop once per call (`O((M'+1)·K²)`); the
+/// per-node loop then allocates nothing: the membership vote reuses two
+/// `k`-length scratch buffers and the offset walks the precomputed
+/// competitor lists.
 ///
 /// # Panics
 ///
-/// Panics if the window is empty or `i` exceeds any entry (see
-/// [`forecast_membership`] / [`node_offset_flat`]).
+/// Panics if a window is empty, a label is `>= k`, `i` exceeds an entry,
+/// or a node's `j*` has no scalar centroid in some snapshot.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain: core::table::resolve_nodes
+// contracts (`counts`/`first_seen` are `k` long and every label is asserted
+// `< k` before it indexes them); the overflow-checked debug-assert CI job
+// backstops the proof at runtime; exemplar chain: core::table::resolve_nodes
 pub fn resolve_nodes(
     window_assign: &[&[usize]],
     window_snaps: &[OffsetSnapshotFlat<'_>],
     n: usize,
     k: usize,
 ) -> NodeResolution {
+    assert!(
+        !window_assign.is_empty(),
+        "membership window must be non-empty"
+    );
+    let geometry = ClipGeometry::new(window_snaps, k);
+    let mut counts = vec![0usize; k];
+    let mut first_seen = vec![usize::MAX; k];
     let mut memberships = Vec::with_capacity(n);
     let mut offsets = Vec::with_capacity(n);
     for i in 0..n {
-        let j_star = forecast_membership(window_assign, i, k);
-        let offset = node_offset_flat(window_snaps, i, j_star)[0];
+        // The vote of `forecast_membership`: highest count wins, ties go
+        // to the label seen most recently (lowest age).
+        counts.fill(0);
+        first_seen.fill(usize::MAX);
+        for (age, assignment) in window_assign.iter().enumerate() {
+            let label = assignment[i];
+            assert!(label < k, "assignment {label} out of range (k = {k})");
+            counts[label] += 1;
+            if first_seen[label] == usize::MAX {
+                first_seen[label] = age;
+            }
+        }
+        let mut j_star = 0usize;
+        for cand in 1..k {
+            if counts[cand] > counts[j_star]
+                || (counts[cand] == counts[j_star] && first_seen[cand] < first_seen[j_star])
+            {
+                j_star = cand;
+            }
+        }
         memberships.push(j_star);
-        offsets.push(offset);
+        offsets.push(geometry.offset(i, j_star));
     }
     NodeResolution {
         memberships,

@@ -9,7 +9,7 @@ use utilcast_datasets::Resource;
 use utilcast_simnet::controller::{Controller, ControllerConfig};
 use utilcast_simnet::sim::{SimConfig, Simulation};
 use utilcast_simnet::threaded::run_threaded;
-use utilcast_simnet::transport::{Meter, ReportFrame, HEADER_BYTES};
+use utilcast_simnet::transport::{Meter, QueryRequest, QueryResponse, ReportFrame, HEADER_BYTES};
 
 const PROP_NODES: usize = 5;
 
@@ -312,5 +312,44 @@ proptest! {
             live.forecast_table_rebuilds(),
             restored.forecast_table_rebuilds()
         );
+    }
+}
+
+proptest! {
+    /// Hostile input to the read-plane codec: any 0–64 byte buffer (and
+    /// every prefix of it) decodes to `None` or to a value whose encoding
+    /// reproduces, byte for byte, the fixed-width prefix the decoder
+    /// consumed — and never panics. On a 64-bit target every id fits
+    /// `usize`, so only truncation rejects.
+    #[test]
+    fn query_codec_rejects_or_round_trips_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..=64),
+    ) {
+        let mut out = Vec::new();
+        for len in 0..=bytes.len() {
+            let input = &bytes[..len];
+            out.clear();
+            match QueryRequest::decode(input) {
+                Some(request) => {
+                    request.encode_into(&mut out);
+                    prop_assert_eq!(out.len() as u64, QueryRequest::WIRE_BYTES);
+                    prop_assert_eq!(&out[..], &input[..out.len()]);
+                }
+                None => prop_assert!(
+                    (len as u64) < QueryRequest::WIRE_BYTES || usize::BITS < 64
+                ),
+            }
+            out.clear();
+            match QueryResponse::decode(input) {
+                Some(response) => {
+                    response.encode_into(&mut out);
+                    prop_assert_eq!(out.len() as u64, QueryResponse::WIRE_BYTES);
+                    prop_assert_eq!(&out[..], &input[..out.len()]);
+                }
+                None => prop_assert!(
+                    (len as u64) < QueryResponse::WIRE_BYTES || usize::BITS < 64
+                ),
+            }
+        }
     }
 }
