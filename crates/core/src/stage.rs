@@ -353,18 +353,45 @@ impl ForecastStage {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the embedded configuration
-    /// is invalid or the snapshot's per-cluster vectors do not match `k`.
+    /// is invalid, the snapshot's per-cluster vectors do not match `k`, or
+    /// its clusterer or look-back window does not match `k` and the node
+    /// count (the read plane indexes them without further checks).
     pub fn restore(snapshot: StageSnapshot) -> Result<Self, CoreError> {
         let mut stage = ForecastStage::new(snapshot.config)?;
         let k = stage.config.k;
+        let n = stage.config.num_nodes;
+        let invalid = |reason: String| Err(CoreError::InvalidConfig { reason });
         if snapshot.forecasters.len() != k || snapshot.degraded.len() != k {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "snapshot has {} forecasters / {} degraded flags for k = {k}",
-                    snapshot.forecasters.len(),
-                    snapshot.degraded.len()
-                ),
-            });
+            return invalid(format!(
+                "snapshot has {} forecasters / {} degraded flags for k = {k}",
+                snapshot.forecasters.len(),
+                snapshot.degraded.len()
+            ));
+        }
+        if snapshot.clusterer.config.k != k {
+            return invalid(format!(
+                "snapshot clusterer has k = {} for a stage with k = {k}",
+                snapshot.clusterer.config.k
+            ));
+        }
+        let labels_ok = |labels: &[usize]| labels.len() == n && labels.iter().all(|&a| a < k);
+        if !snapshot.clusterer.history.iter().all(|a| labels_ok(a)) {
+            return invalid(format!(
+                "snapshot clusterer history is not {n} labels below k = {k} per step"
+            ));
+        }
+        for (age, snap) in snapshot.history.iter().enumerate() {
+            let values_ok = snap.values.nrows() == n
+                && snap.values.ncols() == 1
+                && snap.values.as_slice().len() == n;
+            let centroids_ok =
+                snap.centroids.len() == k && snap.centroids.iter().all(|c| c.len() == 1);
+            if !values_ok || !centroids_ok || !labels_ok(&snap.assignments) {
+                return invalid(format!(
+                    "snapshot window step {age} is not {n} scalar values, {k} scalar \
+                     centroids and {n} labels below k"
+                ));
+            }
         }
         stage.clusterer = DynamicClusterer::restore(snapshot.clusterer);
         stage.forecasters = snapshot

@@ -353,3 +353,109 @@ proptest! {
         }
     }
 }
+
+/// A real mid-run checkpoint of an AutoArima controller, as JSON bytes:
+/// 50 ticks cross the warmup fit (tick 20) and two retrains (35, 50), so
+/// the snapshot carries fitted models, warm-start tables and history.
+fn autoarima_checkpoint_json() -> &'static [u8] {
+    static JSON: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    JSON.get_or_init(|| {
+        let mut controller = Controller::new(ControllerConfig {
+            num_nodes: 6,
+            k: 2,
+            warmup: 20,
+            retrain_every: 15,
+            model: ModelSpec::AutoArima {
+                grid: utilcast_timeseries::arima::ArimaGrid::quick(),
+                options: utilcast_timeseries::arima::ArimaFitOptions::default(),
+            },
+            ..Default::default()
+        })
+        .unwrap();
+        for t in 0..50 {
+            let batch: Vec<(usize, f64)> = (0..6)
+                .map(|node| {
+                    let base = (node % 2) as f64 * 0.4 + 0.1;
+                    (node, base + ((t * 7 + node * 13) % 17) as f64 / 100.0)
+                })
+                .collect();
+            controller.tick_frames(&[frame(t, &batch)]).unwrap();
+        }
+        serde_json::to_vec(&controller.snapshot()).unwrap()
+    })
+}
+
+/// A checkpoint whose look-back window disagrees with `k` or the node
+/// count restores to a typed error: the read plane indexes the window
+/// without further checks, so accepting it would panic on the next tick.
+#[test]
+fn restore_rejects_window_inconsistent_with_k_and_nodes() {
+    let json = String::from_utf8(autoarima_checkpoint_json().to_vec()).unwrap();
+    let window = json.find("\"assignments\":[").expect("window assignments");
+    let labels = window + "\"assignments\":[".len();
+    let parse = |text: &str| {
+        serde_json::from_str::<utilcast_simnet::controller::ControllerSnapshot>(text).unwrap()
+    };
+    assert!(Controller::restore(parse(&json)).is_ok());
+    // A label outside 0..k.
+    let mut bad_label = json.clone();
+    bad_label.replace_range(labels..labels + 1, "7");
+    assert!(Controller::restore(parse(&bad_label)).is_err());
+    // One label short of the node count.
+    let mut short = json.clone();
+    short.replace_range(labels..labels + 2, "");
+    assert!(Controller::restore(parse(&short)).is_err());
+    // A clusterer that would emit labels past the stage's k.
+    let k_field = json
+        .find("\"clusterer\":{\"config\":{\"k\":2")
+        .expect("clusterer k");
+    let mut wide = json.clone();
+    let at = k_field + "\"clusterer\":{\"config\":{\"k\":".len();
+    wide.replace_range(at..at + 1, "3");
+    assert!(Controller::restore(parse(&wide)).is_err());
+}
+
+/// Bytes a JSON mutation most likely turns into a structurally different
+/// document: delimiters, signs, exponents, literals and digits.
+const JSON_BYTES: &[u8] = b"{}[],:\"-+.eE0123456789ntfNI \\";
+
+proptest! {
+    /// Hostile checkpoint JSON: every truncation and single-byte mutation
+    /// of a real AutoArima controller checkpoint either fails to decode,
+    /// fails `Controller::restore` with a typed error, or yields a
+    /// controller that keeps ticking and serving forecasts (each call may
+    /// return an error) — it never panics.
+    #[test]
+    fn hostile_checkpoint_json_errs_or_restores(seed in 0u64..u64::MAX) {
+        use rand::{Rng, SeedableRng};
+        let json = autoarima_checkpoint_json();
+        let restore = |bytes: &[u8]| {
+            if let Ok(snapshot) =
+                serde_json::from_slice::<utilcast_simnet::controller::ControllerSnapshot>(bytes)
+            {
+                // Ok or a typed error; only a panic fails the case.
+                if let Ok(mut controller) = Controller::restore(snapshot) {
+                    let batch: Vec<(usize, f64)> = (0..6).map(|node| (node, 0.3)).collect();
+                    for t in 50..53 {
+                        let _ = controller.tick_frames(&[frame(t, &batch)]);
+                        let _ = controller.forecast_table();
+                        let _ = controller.forecast(4);
+                    }
+                }
+            }
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        restore(&json[..rng.gen_range(0..=json.len())]);
+        let mut mutated = json.to_vec();
+        for i in 0..48 {
+            let at = rng.gen_range(0..json.len());
+            mutated[at] = if i % 2 == 0 {
+                JSON_BYTES[rng.gen_range(0..JSON_BYTES.len())]
+            } else {
+                rng.gen_range(0..=255u8)
+            };
+            restore(&mutated);
+            mutated[at] = json[at];
+        }
+    }
+}

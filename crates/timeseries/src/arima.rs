@@ -240,11 +240,6 @@ impl Arima {
         self.fitted.as_ref().map(|f| f.aicc)
     }
 
-    /// Unpacks a flat parameter vector into (φ, θ, Φ, Θ, μ).
-    fn unpack(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64) {
-        unpack_order(self.order, x)
-    }
-
     /// Fits on an already-differenced series (the grid search differences
     /// once per `(d, D)` pair and shares the result across orders).
     ///
@@ -279,27 +274,9 @@ impl Arima {
         let n_params = o.num_coefficients();
         let bound = self.options.coef_bound;
 
-        let css_eval = |x: &[f64], cap: f64| -> f64 {
-            if x.iter().any(|v| !v.is_finite() || v.abs() > bound) {
-                return f64::NAN;
-            }
-            let (phi, theta, sphi, stheta, mu) = unpack_order(o, x);
-            let ar = expand(&phi, &sphi, o.s.max(1));
-            let ma = expand_ma(&theta, &stheta, o.s.max(1));
-            // Reject non-stationary AR and non-invertible MA parameter
-            // regions; the e-recursion coefficients are the negated
-            // combined MA coefficients.
-            let neg_ma: Vec<f64> = ma.iter().map(|v| -v).collect();
-            if !recursion_is_stable(&ar, 500) || !recursion_is_stable(&neg_ma, 500) {
-                return f64::NAN;
-            }
-            let wc: Vec<f64> = w.iter().map(|v| v - mu).collect();
-            match innovations_capped(&wc, &ar, &ma, cap) {
-                Some((_, css)) => css,
-                None => f64::NAN,
-            }
-        };
-        let mut objective = |x: &[f64]| css_eval(x, f64::INFINITY);
+        // One set of buffers serves every objective evaluation of this fit.
+        let mut scratch = CssScratch::default();
+        let mut css_eval = |x: &[f64], cap: f64| css_objective(o, bound, w, x, cap, &mut scratch);
 
         let result = 'fit: {
             if let Some(hint) = warm_x0 {
@@ -314,7 +291,7 @@ impl Arima {
                         self.options.warm_max_evals
                     };
                     let warm = nelder_mead(
-                        &mut objective,
+                        |x: &[f64]| css_eval(x, f64::INFINITY),
                         hint,
                         &NelderMeadOptions {
                             max_evals: warm_evals,
@@ -330,7 +307,7 @@ impl Arima {
             let mut x0 = vec![0.0; n_params];
             x0[n_params - 1] = w_mean;
             nelder_mead(
-                &mut objective,
+                |x: &[f64]| css_eval(x, f64::INFINITY),
                 &x0,
                 &NelderMeadOptions {
                     max_evals: self.options.max_evals,
@@ -342,7 +319,7 @@ impl Arima {
         if !result.f.is_finite() {
             return Err(TimeSeriesError::FitDiverged);
         }
-        let (phi, theta, sphi, stheta, mu) = self.unpack(&result.x);
+        let (phi, theta, sphi, stheta, mu) = unpack_order(o, &result.x);
         let ar_span = o.ar_span();
         let n_eff = (w.len() - ar_span).max(1);
         let css = result.f;
@@ -358,10 +335,10 @@ impl Arima {
         };
         let aicc = n * sigma2.ln() + 2.0 * k + correction;
         self.fitted = Some(FittedArima {
-            phi,
-            theta,
-            sphi,
-            stheta,
+            phi: phi.to_vec(),
+            theta: theta.to_vec(),
+            sphi: sphi.to_vec(),
+            stheta: stheta.to_vec(),
             mu,
             sigma2,
             css,
@@ -371,134 +348,231 @@ impl Arima {
     }
 }
 
-/// Unpacks a flat parameter vector into (φ, θ, Φ, Θ, μ) for `order`.
+/// Buffers reused by every CSS objective evaluation of one fit, so the
+/// Nelder–Mead search allocates nothing per evaluation.
+#[derive(Default)]
+struct CssScratch {
+    /// Combined AR coefficients.
+    ar: Vec<f64>,
+    /// Combined MA coefficients.
+    ma: Vec<f64>,
+    /// Negated combined MA coefficients (the innovation recursion).
+    neg_ma: Vec<f64>,
+    /// Impulse-response buffer of the stability check.
+    impulse: Vec<f64>,
+    /// Mean-centered differenced series.
+    wc: Vec<f64>,
+    /// Innovations.
+    e: Vec<f64>,
+}
+
+/// The CSS objective of order `o` at the flat parameters `x` over the
+/// differenced series `w`. NaN marks a point outside the search domain:
+/// a coefficient outside `±bound`, a non-stationary AR side, a
+/// non-invertible MA side, an exploding recursion, or a partial CSS above
+/// `cap`.
+fn css_objective(
+    o: ArimaOrder,
+    bound: f64,
+    w: &[f64],
+    x: &[f64],
+    cap: f64,
+    s: &mut CssScratch,
+) -> f64 {
+    if x.iter().any(|v| !v.is_finite() || v.abs() > bound) {
+        return f64::NAN;
+    }
+    let (phi, theta, sphi, stheta, mu) = unpack_order(o, x);
+    expand_into(phi, sphi, o.s.max(1), true, &mut s.ar);
+    expand_into(theta, stheta, o.s.max(1), false, &mut s.ma);
+    // Reject non-stationary AR and non-invertible MA parameter regions; the
+    // e-recursion coefficients are the negated combined MA coefficients.
+    s.neg_ma.clear();
+    s.neg_ma.extend(s.ma.iter().map(|v| -v));
+    if !impulse_response_bounded(&s.ar, &mut s.impulse)
+        || !impulse_response_bounded(&s.neg_ma, &mut s.impulse)
+    {
+        return f64::NAN;
+    }
+    s.wc.clear();
+    s.wc.extend(w.iter().map(|v| v - mu));
+    s.e.resize(w.len(), 0.0);
+    css_innovations(&s.wc, &s.ar, &s.ma, cap, &mut s.e).unwrap_or(f64::NAN)
+}
+
+/// Splits a flat parameter vector into (φ, θ, Φ, Θ, μ) for `order`.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
 // contracts; the overflow-checked debug-assert CI job backstops the proof
 // at runtime; exemplar chain: timeseries::arima::auto_arima_warm ->
 // timeseries::arima::Arima::fit_differenced ->
 // timeseries::arima::unpack_order
-fn unpack_order(o: ArimaOrder, x: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64) {
+fn unpack_order(o: ArimaOrder, x: &[f64]) -> (&[f64], &[f64], &[f64], &[f64], f64) {
     let mut i = 0;
-    let phi = x[i..i + o.p].to_vec();
+    let phi = &x[i..i + o.p];
     i += o.p;
-    let theta = x[i..i + o.q].to_vec();
+    let theta = &x[i..i + o.q];
     i += o.q;
-    let sphi = x[i..i + o.sp].to_vec();
+    let sphi = &x[i..i + o.sp];
     i += o.sp;
-    let stheta = x[i..i + o.sq].to_vec();
+    let stheta = &x[i..i + o.sq];
     i += o.sq;
-    let mu = x[i];
-    (phi, theta, sphi, stheta, mu)
+    (phi, theta, sphi, stheta, x[i])
 }
 
 /// Expands `poly(B) * seasonal_poly(B^s)` where both polynomials have the
 /// form `1 - c_1 B - c_2 B² - ...`; returns the combined lag coefficients
 /// `a` such that the product is `1 - Σ a_i B^i` (index 0 unused).
-// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-// dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain:
-// timeseries::arima::Arima::forecast_with_interval ->
-// timeseries::arima::expand
 fn expand(coef: &[f64], scoef: &[f64], s: usize) -> Vec<f64> {
-    // Represent polynomials with full coefficient vectors (constant term 1).
-    let deg = coef.len() + scoef.len() * s;
-    let mut a = vec![0.0; deg + 1];
-    a[0] = 1.0;
-    for (i, &c) in coef.iter().enumerate() {
-        a[i + 1] = -c;
-    }
-    let mut b = vec![0.0; scoef.len() * s + 1];
-    b[0] = 1.0;
-    for (j, &c) in scoef.iter().enumerate() {
-        b[(j + 1) * s] = -c;
-    }
-    let mut prod = vec![0.0; deg + 1];
-    for (i, &ai) in a.iter().enumerate() {
-        // lint:allow(float-eq): exact zero skip in the sparse polynomial
-        // product; small coefficients must still contribute
-        if ai == 0.0 {
-            continue;
-        }
-        for (j, &bj) in b.iter().enumerate() {
-            if i + j <= deg {
-                prod[i + j] += ai * bj;
-            }
-        }
-    }
-    // prod = 1 - Σ a_i B^i  =>  combined a_i = -prod[i].
-    prod.iter().skip(1).map(|&v| -v).collect()
+    let mut out = Vec::new();
+    expand_into(coef, scoef, s, true, &mut out);
+    out
 }
 
 /// Expands the MA side `θ(B)Θ(B^s)` where both polynomials use the
 /// `1 + Σ c_i B^i` convention; returns combined coefficients `b` such that
 /// the product is `1 + Σ b_i B^i`.
 fn expand_ma(theta: &[f64], stheta: &[f64], s: usize) -> Vec<f64> {
-    let neg_t: Vec<f64> = theta.iter().map(|v| -v).collect();
-    let neg_st: Vec<f64> = stheta.iter().map(|v| -v).collect();
-    expand(&neg_t, &neg_st, s).iter().map(|v| -v).collect()
+    let mut out = Vec::new();
+    expand_into(theta, stheta, s, false, &mut out);
+    out
 }
 
-/// Checks that the linear recursion `x_t = Σ coefs_i x_{t-1-i}` is stable
-/// by bounding its impulse response over `horizon` steps.
+/// Writes into `out` the combined lag coefficients of `poly(B) *
+/// seasonal_poly(B^s)`: the AR convention `1 - Σ c_i B^i` when `ar`, the MA
+/// convention `1 + Σ c_i B^i` otherwise, with the product in the same
+/// convention. The dense product adds the same terms in the same order for
+/// both conventions (negation is exact), so the MA side is bitwise the AR
+/// expansion of the negated coefficients, negated back.
+// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
+// dimensions validated at the public boundary and restated by debug_assert
+// contracts; the overflow-checked debug-assert CI job backstops the proof
+// at runtime; exemplar chain:
+// timeseries::arima::Arima::forecast_with_interval ->
+// timeseries::arima::expand -> timeseries::arima::expand_into
+fn expand_into(coef: &[f64], scoef: &[f64], s: usize, ar: bool, out: &mut Vec<f64>) {
+    let sign = |c: f64| if ar { -c } else { c };
+    let deg = coef.len() + scoef.len() * s;
+    out.clear();
+    out.resize(deg + 1, 0.0);
+    for i in 0..=coef.len() {
+        let ai = if i == 0 { 1.0 } else { sign(coef[i - 1]) };
+        // lint:allow(float-eq): exact zero skip in the sparse polynomial
+        // product; small coefficients must still contribute
+        if ai == 0.0 {
+            continue;
+        }
+        for j in 0..=scoef.len() * s {
+            let bj = if j == 0 {
+                1.0
+            } else if j % s == 0 {
+                sign(scoef[j / s - 1])
+            } else {
+                0.0
+            };
+            if i + j <= deg {
+                out[i + j] += ai * bj;
+            }
+        }
+    }
+    // Drop the constant term; the AR convention negates the rest.
+    out.remove(0);
+    if ar {
+        for v in out.iter_mut() {
+            *v = -*v;
+        }
+    }
+}
+
+/// Impulse-response horizon of the stability check.
+const STABILITY_HORIZON: usize = 500;
+
+/// Checks that the linear recursion `x_t = Σ coefs_i x_{t-1-i}` is stable:
+/// its impulse response stays finite and within `±50` for
+/// [`STABILITY_HORIZON`] steps.
 ///
 /// Used to reject non-stationary AR fits (explosive multi-step forecasts)
 /// and non-invertible MA fits (the innovation recursion `e_t = ... − Σ b_j
 /// e_{t-1-j}` diverges when extended beyond the training window) — CSS is
 /// happy to pick either because they can fit one-step residuals in-sample.
+///
+/// The response runs on `buf`, one linear buffer the caller reuses across
+/// calls: step `k` reads the window `buf[k..k + span]` and appends its
+/// result, with the multiply-adds of a sliding window in the same order.
+///
+/// *Shortcut.* When `S = fl(Σ|a_i|) ≤ 1` the check returns `true` without
+/// running the response, and this never changes the answer. `S ≤ 1` is
+/// false for a NaN or `±∞` entry, so those fall through to the full loop;
+/// otherwise every `a_i` is finite and, with `n = span`, `u = 2⁻⁵³` and
+/// `γ_k = k·u/(1 − k·u)`, the exact sum obeys `Σ|a_i| ≤ S/(1 − γ_{n−1}) ≤
+/// 1 + γ_n`. If every state entry satisfies `|x| ≤ M`, the step's
+/// recursive dot product obeys `|next| ≤ (1 + γ_n)·Σ|a_i|·M + n·2⁻¹⁰⁷⁵ ≤
+/// (1 + γ_n)²·M + n·2⁻¹⁰⁷⁵`, the last term covering products that
+/// underflow. From the unit impulse the state therefore stays below
+/// `(1 + γ_n)^1000 + 500·n·2⁻¹⁰⁷⁴ ≪ 50` and finite over the 500 steps, so
+/// the loop could only have returned `true`.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
 // contracts; the overflow-checked debug-assert CI job backstops the proof
 // at runtime; exemplar chain: timeseries::arima::auto_arima_warm ->
 // timeseries::arima::Arima::fit_differenced ->
-// timeseries::arima::recursion_is_stable
-fn recursion_is_stable(coefs: &[f64], horizon: usize) -> bool {
-    if coefs.is_empty() {
+// timeseries::arima::css_objective ->
+// timeseries::arima::impulse_response_bounded
+fn impulse_response_bounded(coefs: &[f64], buf: &mut Vec<f64>) -> bool {
+    if coefs.iter().map(|a| a.abs()).sum::<f64>() <= 1.0 {
         return true;
     }
     let span = coefs.len();
-    let mut state = vec![0.0; span];
-    state[span - 1] = 1.0; // unit impulse
-    for _ in 0..horizon {
+    buf.clear();
+    buf.resize(span, 0.0);
+    buf[span - 1] = 1.0; // unit impulse
+    for k in 0..STABILITY_HORIZON {
         let next: f64 = coefs
             .iter()
-            .enumerate()
-            .map(|(i, &a)| a * state[state.len() - 1 - i])
+            .zip(buf[k..k + span].iter().rev())
+            .map(|(&a, &x)| a * x)
             .sum();
         if !next.is_finite() || next.abs() > 50.0 {
             return false;
         }
-        state.push(next);
-        state.remove(0);
+        buf.push(next);
     }
     true
 }
 
 /// Computes the CSS innovations of a combined ARMA recursion over the
-/// mean-centered differenced series, accumulating the conditional sum of
-/// squares as it goes. Returns `None` if the recursion explodes (non-finite
-/// or absurdly large residuals) or the partial CSS exceeds `cap` — the
-/// partial sum is a monotone lower bound on the final CSS, so any candidate
-/// that crosses the cap can be abandoned without finishing the recursion.
+/// mean-centered differenced series `wc` into `e` (length `wc.len()`),
+/// accumulating the conditional sum of squares as it goes. Returns `None`
+/// if the recursion explodes (non-finite or absurdly large residuals) or
+/// the partial CSS exceeds `cap` — the partial sum is a monotone lower
+/// bound on the final CSS, so any candidate that crosses the cap can be
+/// abandoned without finishing the recursion. On `Some`, `e` holds zeros
+/// before `ar.len()` and the innovations from there on.
 ///
-/// With `cap = f64::INFINITY` the returned CSS is the plain sequential sum
-/// `Σ e_t²` over `t ≥ ar.len()`, bit-identical to summing the full
-/// innovation vector after the fact.
-fn innovations_capped(wc: &[f64], ar: &[f64], ma: &[f64], cap: f64) -> Option<(Vec<f64>, f64)> {
+/// Only the pre-sample innovations `e[..ar.len()]` are cleared: every
+/// later entry is written before it is read, so `e` can be a reused
+/// buffer. The MA lags read `e[t − ma.len()..t]`, clipped at `0` while
+/// `t < ma.len()`, which adds the same terms in the same order as guarding
+/// each lag with `t > j`. With `cap = f64::INFINITY` the returned CSS is
+/// the plain sequential sum `Σ e_t²` over `t ≥ ar.len()`.
+// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
+// dimensions validated at the public boundary and restated by debug_assert
+// contracts; the overflow-checked debug-assert CI job backstops the proof
+// at runtime; exemplar chain: timeseries::arima::auto_arima_warm ->
+// timeseries::arima::Arima::fit_differenced ->
+// timeseries::arima::css_objective -> timeseries::arima::css_innovations
+fn css_innovations(wc: &[f64], ar: &[f64], ma: &[f64], cap: f64, e: &mut [f64]) -> Option<f64> {
     let n = wc.len();
     let start = ar.len();
-    let mut e = vec![0.0; n];
+    e[..start.min(n)].fill(0.0);
     let mut css = 0.0;
     for t in start..n {
         let mut pred = 0.0;
-        for (i, &a) in ar.iter().enumerate() {
-            pred += a * wc[t - 1 - i];
+        for (&a, &x) in ar.iter().zip(wc[t - start..t].iter().rev()) {
+            pred += a * x;
         }
-        for (j, &b) in ma.iter().enumerate() {
-            if t > j {
-                pred += b * e[t - 1 - j];
-            }
+        for (&b, &x) in ma.iter().zip(e[t.saturating_sub(ma.len())..t].iter().rev()) {
+            pred += b * x;
         }
         let resid = wc[t] - pred;
         if !resid.is_finite() || resid.abs() > 1e8 {
@@ -510,12 +584,7 @@ fn innovations_capped(wc: &[f64], ar: &[f64], ma: &[f64], cap: f64) -> Option<(V
             return None;
         }
     }
-    Some((e, css))
-}
-
-/// Computes the CSS innovations without a pruning cap (forecast path).
-fn innovations(wc: &[f64], ar: &[f64], ma: &[f64]) -> Option<Vec<f64>> {
-    innovations_capped(wc, ar, ma, f64::INFINITY).map(|(e, _)| e)
+    Some(css)
 }
 
 impl Forecaster for Arima {
@@ -552,8 +621,10 @@ impl Forecaster for Arima {
         let ar = expand(&fitted.phi, &fitted.sphi, o.s.max(1));
         let ma = expand_ma(&fitted.theta, &fitted.stheta, o.s.max(1));
         let mut wc: Vec<f64> = w.iter().map(|v| v - fitted.mu).collect();
-        let mut e = innovations(&wc, &ar, &ma).ok_or(TimeSeriesError::FitDiverged)?;
         let n = wc.len();
+        let mut e = vec![0.0; n];
+        css_innovations(&wc, &ar, &ma, f64::INFINITY, &mut e)
+            .ok_or(TimeSeriesError::FitDiverged)?;
         let mut out = Vec::with_capacity(horizon);
         for h in 0..horizon {
             let t = n + h;
@@ -1057,7 +1128,7 @@ impl Forecaster for AutoArima {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use utilcast_linalg::rng::standard_normal;
 
     fn ar1_series(n: usize, phi: f64, seed: u64) -> Vec<f64> {
@@ -1380,11 +1451,346 @@ mod tests {
     #[test]
     fn recursion_stability_check() {
         assert!(recursion_is_stable(&[], 100));
-        assert!(recursion_is_stable(&[0.9], 500));
-        assert!(!recursion_is_stable(&[1.1], 500));
-        // Complex explosive pair (roots ~1.04 e^{±iθ}).
-        assert!(!recursion_is_stable(&[1.6, -1.08], 500));
-        // Stable oscillation.
-        assert!(recursion_is_stable(&[1.2, -0.5], 500));
+        let mut buf = Vec::new();
+        for (coefs, stable) in [
+            (&[][..], true),
+            (&[0.9][..], true),
+            (&[1.1][..], false),
+            // Complex explosive pair (roots ~1.04 e^{±iθ}).
+            (&[1.6, -1.08][..], false),
+            // Stable oscillation.
+            (&[1.2, -0.5][..], true),
+        ] {
+            assert_eq!(recursion_is_stable(coefs, 500), stable, "oracle {coefs:?}");
+            assert_eq!(
+                impulse_response_bounded(coefs, &mut buf),
+                stable,
+                "production {coefs:?}"
+            );
+        }
+    }
+
+    // ---- Test oracles of the CSS objective --------------------------------
+    //
+    // `recursion_is_stable` (a 500-step impulse response over a sliding
+    // window that allocates and shifts per step), `innovations_capped`
+    // (fresh innovation vector per call, `t > j` guard on every MA lag) and
+    // `expand_dense` (dense factor vectors, the MA side by double negation)
+    // are the original objective's building blocks. The production
+    // objective must reproduce them bit for bit.
+
+    /// The dense polynomial product in the AR convention: both factors as
+    /// full coefficient vectors, every product term accumulated.
+    fn expand_dense(coef: &[f64], scoef: &[f64], s: usize) -> Vec<f64> {
+        let deg = coef.len() + scoef.len() * s;
+        let mut a = vec![0.0; deg + 1];
+        a[0] = 1.0;
+        for (i, &c) in coef.iter().enumerate() {
+            a[i + 1] = -c;
+        }
+        let mut b = vec![0.0; scoef.len() * s + 1];
+        b[0] = 1.0;
+        for (j, &c) in scoef.iter().enumerate() {
+            b[(j + 1) * s] = -c;
+        }
+        let mut prod = vec![0.0; deg + 1];
+        for (i, &ai) in a.iter().enumerate() {
+            if ai == 0.0 {
+                continue;
+            }
+            for (j, &bj) in b.iter().enumerate() {
+                if i + j <= deg {
+                    prod[i + j] += ai * bj;
+                }
+            }
+        }
+        prod.iter().skip(1).map(|&v| -v).collect()
+    }
+
+    /// The MA convention through the AR one: negate, expand, negate back.
+    fn expand_ma_dense(theta: &[f64], stheta: &[f64], s: usize) -> Vec<f64> {
+        let neg_t: Vec<f64> = theta.iter().map(|v| -v).collect();
+        let neg_st: Vec<f64> = stheta.iter().map(|v| -v).collect();
+        expand_dense(&neg_t, &neg_st, s)
+            .iter()
+            .map(|v| -v)
+            .collect()
+    }
+
+    /// Checks that the linear recursion `x_t = Σ coefs_i x_{t-1-i}` is
+    /// stable by bounding its impulse response over `horizon` steps.
+    fn recursion_is_stable(coefs: &[f64], horizon: usize) -> bool {
+        if coefs.is_empty() {
+            return true;
+        }
+        let span = coefs.len();
+        let mut state = vec![0.0; span];
+        state[span - 1] = 1.0; // unit impulse
+        for _ in 0..horizon {
+            let next: f64 = coefs
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| a * state[state.len() - 1 - i])
+                .sum();
+            if !next.is_finite() || next.abs() > 50.0 {
+                return false;
+            }
+            state.push(next);
+            state.remove(0);
+        }
+        true
+    }
+
+    /// The CSS innovations and their sum, or `None` when the recursion
+    /// explodes or the partial sum crosses `cap`.
+    fn innovations_capped(wc: &[f64], ar: &[f64], ma: &[f64], cap: f64) -> Option<(Vec<f64>, f64)> {
+        let n = wc.len();
+        let start = ar.len();
+        let mut e = vec![0.0; n];
+        let mut css = 0.0;
+        for t in start..n {
+            let mut pred = 0.0;
+            for (i, &a) in ar.iter().enumerate() {
+                pred += a * wc[t - 1 - i];
+            }
+            for (j, &b) in ma.iter().enumerate() {
+                if t > j {
+                    pred += b * e[t - 1 - j];
+                }
+            }
+            let resid = wc[t] - pred;
+            if !resid.is_finite() || resid.abs() > 1e8 {
+                return None;
+            }
+            e[t] = resid;
+            css += resid * resid;
+            if css > cap {
+                return None;
+            }
+        }
+        Some((e, css))
+    }
+
+    /// The original per-evaluation objective: fresh vectors for the
+    /// parameters, the expansions, the negated MA side, the centered
+    /// series and the innovations.
+    fn css_objective_oracle(o: ArimaOrder, bound: f64, w: &[f64], x: &[f64], cap: f64) -> f64 {
+        if x.iter().any(|v| !v.is_finite() || v.abs() > bound) {
+            return f64::NAN;
+        }
+        let (phi, theta, sphi, stheta, mu) = unpack_order(o, x);
+        let ar = expand_dense(phi, sphi, o.s.max(1));
+        let ma = expand_ma_dense(theta, stheta, o.s.max(1));
+        let neg_ma: Vec<f64> = ma.iter().map(|v| -v).collect();
+        if !recursion_is_stable(&ar, 500) || !recursion_is_stable(&neg_ma, 500) {
+            return f64::NAN;
+        }
+        let wc: Vec<f64> = w.iter().map(|v| v - mu).collect();
+        match innovations_capped(&wc, &ar, &ma, cap) {
+            Some((_, css)) => css,
+            None => f64::NAN,
+        }
+    }
+
+    /// Random coefficients of one of the shapes the stability shortcut must
+    /// get right; `kind` picks the shape.
+    fn stability_case(rng: &mut StdRng, span: usize, kind: usize) -> Vec<f64> {
+        let signed = |rng: &mut StdRng, v: f64| if rng.gen_bool(0.5) { v } else { -v };
+        match kind {
+            // Generic coefficients, either side of Σ|a| = 1.
+            0 => {
+                let scale = rng.gen_range(0.2..2.5) / span.max(1) as f64;
+                (0..span)
+                    .map(|_| rng.gen_range(-1.0..1.0) * scale * 2.0)
+                    .collect()
+            }
+            // Dyadic coefficients (multiples of 2⁻⁵², so every partial sum
+            // is exact) whose magnitudes sum to exactly 1.0 (kind 1) or to
+            // one ulp above it (kind 2).
+            1 | 2 => {
+                if span == 0 {
+                    return Vec::new();
+                }
+                let total: u64 = (1u64 << 52) + (kind as u64 - 1);
+                let share = (1u64 << 52) / span as u64;
+                let mut units: Vec<u64> = (0..span).map(|_| rng.gen_range(0..=share)).collect();
+                units[0] = total - units[1..].iter().sum::<u64>();
+                units
+                    .iter()
+                    .map(|&k| signed(rng, k as f64 * 2f64.powi(-52)))
+                    .collect()
+            }
+            // Near-unit roots: the expansion of Π (1 − ρ_i B) with every
+            // |ρ_i| within 1e-2 of 1 (at span 1 the 500-step bound of 50
+            // sits at |ρ| ≈ 1.0079).
+            3 => {
+                let mut poly = vec![1.0];
+                for _ in 0..span {
+                    let magnitude = 1.0 + rng.gen_range(-1e-2..1e-2);
+                    let rho = signed(rng, magnitude);
+                    let mut next = vec![0.0; poly.len() + 1];
+                    for (i, &c) in poly.iter().enumerate() {
+                        next[i] += c;
+                        next[i + 1] -= rho * c;
+                    }
+                    poly = next;
+                }
+                poly.iter().skip(1).map(|v| -v).collect()
+            }
+            // One lag-1 coefficient just above 1 in magnitude, the rest
+            // zero: the response grows like |a_1|^t, which crosses 50
+            // within 500 steps once |a_1| > 1.0079.
+            4 => {
+                let mut coefs = vec![0.0; span];
+                if let Some(first) = coefs.first_mut() {
+                    let magnitude = 1.0 + rng.gen_range(0.0..0.03);
+                    *first = signed(rng, magnitude);
+                }
+                coefs
+            }
+            // A non-finite entry among otherwise small coefficients.
+            _ => {
+                if span == 0 {
+                    return Vec::new();
+                }
+                let mut coefs: Vec<f64> = (0..span)
+                    .map(|_| rng.gen_range(-0.5..0.5) / span as f64)
+                    .collect();
+                let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                let at = rng.gen_range(0..span);
+                coefs[at] = special[rng.gen_range(0..special.len())];
+                coefs
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn stability_check_matches_oracle(seed in 0u64..u64::MAX, span in 0usize..=50) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A dirty buffer, reused across calls, must not matter.
+            let mut buf = vec![f64::NAN; rng.gen_range(0..600)];
+            for kind in 0..6 {
+                let coefs = stability_case(&mut rng, span, kind);
+                let abs_sum: f64 = coefs.iter().map(|a| a.abs()).sum();
+                if span > 0 && kind == 1 {
+                    proptest::prop_assert_eq!(abs_sum, 1.0);
+                }
+                if span > 0 && kind == 2 {
+                    proptest::prop_assert_eq!(abs_sum, 1.0 + f64::EPSILON);
+                }
+                proptest::prop_assert_eq!(
+                    impulse_response_bounded(&coefs, &mut buf),
+                    recursion_is_stable(&coefs, 500),
+                    "span {} kind {} coefs {:?}",
+                    span,
+                    kind,
+                    coefs
+                );
+            }
+        }
+
+        #[test]
+        fn buffered_innovations_match_oracle(
+            seed in 0u64..u64::MAX,
+            n in 0usize..60,
+            p in 0usize..6,
+            q in 0usize..9,
+            cap_kind in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let wc: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            // Occasionally explosive coefficients, so the 1e8 abort fires.
+            let scale = if rng.gen_bool(0.2) { 3.0 } else { 0.4 };
+            let ar: Vec<f64> = (0..p).map(|_| rng.gen_range(-scale..scale)).collect();
+            let ma: Vec<f64> = (0..q).map(|_| rng.gen_range(-scale..scale)).collect();
+            let full = innovations_capped(&wc, &ar, &ma, f64::INFINITY).map(|(_, c)| c);
+            let cap = match (cap_kind, full) {
+                (0, _) | (_, None) => f64::INFINITY,
+                // A finite cap that aborts part-way.
+                (1, Some(css)) => css * rng.gen_range(0.0..1.0),
+                // A cap the full sum lands exactly on (not above).
+                (2, Some(css)) => css,
+                (_, Some(css)) => css * 2.0,
+            };
+            let want = innovations_capped(&wc, &ar, &ma, cap);
+            // A reused buffer full of stale values.
+            let mut e = vec![f64::NAN; n];
+            let got = css_innovations(&wc, &ar, &ma, cap, &mut e);
+            match (got, want) {
+                (None, None) => {}
+                (Some(css), Some((want_e, want_css))) => {
+                    proptest::prop_assert_eq!(css.to_bits(), want_css.to_bits());
+                    let got_bits: Vec<u64> = e.iter().map(|v| v.to_bits()).collect();
+                    let want_bits: Vec<u64> = want_e.iter().map(|v| v.to_bits()).collect();
+                    proptest::prop_assert_eq!(got_bits, want_bits);
+                }
+                (got, want) => {
+                    return Err(proptest::prelude::TestCaseError::fail(format!(
+                        "n {n} p {p} q {q} cap {cap}: production {:?} vs oracle {:?}",
+                        got.is_some(),
+                        want.is_some()
+                    )));
+                }
+            }
+        }
+
+        #[test]
+        fn expansion_matches_dense_product(
+            seed in 0u64..u64::MAX,
+            p in 0usize..6,
+            sp in 0usize..3,
+            s in 1usize..8,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Zeros of both signs, and an occasional non-finite entry.
+            let draw = |rng: &mut StdRng| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 if rng.gen_bool(0.2) => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)],
+                _ => rng.gen_range(-2.0..2.0),
+            };
+            let coef: Vec<f64> = (0..p).map(|_| draw(&mut rng)).collect();
+            let scoef: Vec<f64> = (0..sp).map(|_| draw(&mut rng)).collect();
+            let bits = |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            proptest::prop_assert_eq!(
+                bits(expand(&coef, &scoef, s)),
+                bits(expand_dense(&coef, &scoef, s))
+            );
+            proptest::prop_assert_eq!(
+                bits(expand_ma(&coef, &scoef, s)),
+                bits(expand_ma_dense(&coef, &scoef, s))
+            );
+        }
+
+        #[test]
+        fn css_objective_matches_oracle_with_reused_scratch(
+            seed in 0u64..u64::MAX,
+            evals in 1usize..12,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scratch = CssScratch::default();
+            for _ in 0..evals {
+                let s = rng.gen_range(0..5);
+                let o = ArimaOrder::seasonal(
+                    rng.gen_range(0..4),
+                    0,
+                    rng.gen_range(0..4),
+                    if s > 0 { rng.gen_range(0..2) } else { 0 },
+                    0,
+                    if s > 0 { rng.gen_range(0..2) } else { 0 },
+                    s,
+                );
+                let n = rng.gen_range(0..80);
+                let w: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let x: Vec<f64> = (0..o.num_coefficients())
+                    .map(|_| rng.gen_range(-1.2..1.2))
+                    .collect();
+                let cap = if rng.gen_bool(0.5) { f64::INFINITY } else { rng.gen_range(0.0..20.0) };
+                let want = css_objective_oracle(o, 1.0, &w, &x, cap);
+                let got = css_objective(o, 1.0, &w, &x, cap, &mut scratch);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} n {}", o, n);
+            }
+        }
     }
 }
